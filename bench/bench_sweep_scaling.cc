@@ -97,30 +97,24 @@ main()
                                       allSimdKinds.end());
     const std::vector<unsigned> ways = {2, 4, 8};
 
-    // decoded is pinned on explicitly: the decoded-hit gate below must
-    // not turn into a spurious failure on a host that exported the
-    // VMMX_SWEEP_DECODED=0 escape hatch.
-    SweepOptions serialOpts;
-    serialOpts.threads = 1;
-    serialOpts.batch = false;
-    serialOpts.decoded = true;
-    SweepOptions poolOpts;
-    poolOpts.threads = 4;
-    poolOpts.batch = false;
-    poolOpts.decoded = true;
-    SweepOptions batchOpts;
-    batchOpts.threads = 4;
-    batchOpts.batch = true;
-    batchOpts.decoded = true;
+    // Three policies over the process-wide repository, differing only
+    // in threads and batching; the decoded tier is on in all of them.
+    ExecutionPolicy serialPolicy = ExecutionPolicy::fromEnv();
+    serialPolicy.threads = 1;
+    serialPolicy.batch = false;
+    serialPolicy.decoded = true;
+    ExecutionPolicy poolPolicy = serialPolicy;
+    poolPolicy.threads = 4;
+    ExecutionPolicy batchPolicy = poolPolicy;
+    batchPolicy.batch = true;
 
-    Sweep serialSweep(serialOpts);
-    serialSweep.addKernelGrid(kernels, kinds, ways);
-    Sweep poolSweep(poolOpts);
-    poolSweep.addKernelGrid(kernels, kinds, ways);
-    Sweep batchSweep(batchOpts);
-    batchSweep.addKernelGrid(kernels, kinds, ways);
+    StudySpec grid;
+    grid.kernels = kernels;
+    grid.kinds = kinds;
+    grid.ways = ways;
+    const std::vector<SweepPoint> points = Study(grid).points();
 
-    const size_t nPoints = serialSweep.size();
+    const size_t nPoints = points.size();
     std::cout << "sweep scaling: " << nPoints
               << " (kernel, flavour, width) points, "
               << kernels.size() * kinds.size()
@@ -131,19 +125,19 @@ main()
 
     // Warm up: fault in the allocator and populate the trace repository
     // so every variant is timed at steady state (min of three reps).
-    auto batched = batchSweep.run();
+    auto batched = runPoints(points, batchPolicy);
 
     double tBase = 1e9, tCached = 1e9, tPooled = 1e9, tBatched = 1e9;
     std::vector<SweepResult> baseline, cached, pooled;
     for (int r = 0; r < reps; ++r) {
         auto t0 = clock::now();
-        baseline = runSerialUncached(serialSweep.points());
+        baseline = runSerialUncached(points);
         auto t1 = clock::now();
-        cached = serialSweep.run(); // 1 thread: repository only
+        cached = runPoints(points, serialPolicy); // repository only
         auto t2 = clock::now();
-        pooled = poolSweep.run(); // 4 threads + repo, per-point jobs
+        pooled = runPoints(points, poolPolicy); // 4 threads, per point
         auto t3 = clock::now();
-        batched = batchSweep.run(); // 4 threads + repo + trace groups
+        batched = runPoints(points, batchPolicy); // 4 threads, groups
         auto t4 = clock::now();
         tBase = std::min(tBase, seconds(t0, t1));
         tCached = std::min(tCached, seconds(t1, t2));
@@ -377,7 +371,7 @@ main()
             telemetry::Tracer::instance().clear();
             telemetry::Registry::instance().clear();
             auto t0 = clock::now();
-            telem = batchSweep.run();
+            telem = runPoints(points, batchPolicy);
             tTelem = std::min(tTelem, seconds(t0, clock::now()));
         }
         spansPerRun = telemetry::Tracer::instance().size();

@@ -2,9 +2,10 @@
  * @file
  * Tables III and IV: the modelled processor and memory configurations.
  *
- * The machine grid is enumerated through the sweep API (same helper the
- * timing sweeps use), so the rows here are exactly the machines a
- * default (flavour x width) sweep would run.
+ * The machine grid is enumerated as SweepPoints and each machine built
+ * by makeMachine() (the helper every timing sweep uses), so the rows
+ * here are exactly the machines a default (flavour x width) sweep
+ * would run.
  */
 
 #include <iostream>
@@ -19,16 +20,16 @@ main()
 {
     // Enumerate the canonical grid once; Table III prints every machine,
     // Table IV prints the memory system per width (flavour-invariant).
-    Sweep grid;
+    std::vector<SweepPoint> grid;
     for (unsigned way : {2u, 4u, 8u})
         for (auto kind : allSimdKinds)
-            grid.addKernel("idct", kind, way);
+            grid.push_back({SweepPoint::Workload::Kernel, "idct", kind, way});
 
     std::cout << "Table III: modelled processors\n\n";
     TextTable t3({"config", "phys SIMD", "fetch/commit", "int FUs",
                   "FP FUs", "SIMD issue", "SIMD FUs", "lanes",
                   "mem ports", "ROB", "IQ"});
-    for (const SweepPoint &pt : grid.points()) {
+    for (const SweepPoint &pt : grid) {
         auto m = makeMachine(pt.kind, pt.way, pt.overrides);
         t3.addRow({m.label(), std::to_string(m.core.physSimd),
                    std::to_string(m.core.way),
@@ -46,7 +47,7 @@ main()
     std::cout << "\nTable IV: memory hierarchy\n\n";
     TextTable t4({"config", "L1", "L1 ports", "L2", "fill B/cyc",
                   "vec port B/cyc", "mem latency"});
-    for (const SweepPoint &pt : grid.points()) {
+    for (const SweepPoint &pt : grid) {
         if (pt.kind != SimdKind::VMMX128)
             continue;
         auto m = makeMachine(pt.kind, pt.way, pt.overrides);

@@ -1,8 +1,8 @@
 /**
  * @file
  * Distributed sweep example: shard a figure-style grid across worker
- * processes with the one-line SweepOptions::processes switch, backed by
- * the persistent on-disk TraceStore.
+ * processes by switching the ExecutionPolicy backend to processes,
+ * backed by the persistent on-disk TraceStore.
  *
  * Dispatch is group based: the driver shards the grid by *trace group*
  * (the points that replay one trace -- here, the two widths of each
@@ -10,7 +10,8 @@
  * the worker runs it as a single batched pass that decodes and streams
  * the trace once for all of the group's machine configurations.  The
  * journal still records one entry per point, so batched and per-point
- * (VMMX_SWEEP_BATCH=0) runs share journals and aggregation format.
+ * (ExecutionPolicy::batch off) runs share journals and aggregation
+ * format.
  *
  *   run 1: workers generate every trace, spill it to the store, and the
  *          driver journals each finished point;
@@ -18,8 +19,8 @@
  *          traces come off disk, and the completed points come straight
  *          from the journal without spawning a single worker.
  *
- * Results of every variant are bit-identical to the serial in-process
- * sweep; the example exits nonzero if not.
+ * Results of every variant are bit-identical to the runSerial() oracle;
+ * the example exits nonzero if not.
  */
 
 #include <cstdio>
@@ -28,7 +29,7 @@
 
 #include "common/table.hh"
 #include "dist/driver.hh"
-#include "harness/sweep.hh"
+#include "harness/study.hh"
 
 using namespace vmmx;
 
@@ -44,34 +45,31 @@ main()
     const std::string store = (scratch / "traces").string();
     const std::string journal = (scratch / "sweep.vmjl").string();
 
-    auto build = [](Sweep &s) {
-        s.addKernelGrid({"motion1", "addblock", "comp"},
-                        {SimdKind::MMX64, SimdKind::VMMX128}, {2, 4});
-    };
+    StudySpec spec;
+    spec.kernels = {"motion1", "addblock", "comp"};
+    spec.kinds = {SimdKind::MMX64, SimdKind::VMMX128};
+    spec.ways = {2, 4};
+    const std::vector<SweepPoint> points = Study(spec).points();
 
-    // Reference: the serial in-process sweep.
-    SweepOptions serialOpts;
-    serialOpts.threads = 1;
+    // Reference: the serial decode-on-the-fly oracle.
     TraceRepository privateRepo;
-    serialOpts.repo = &privateRepo;
-    Sweep serial(serialOpts);
-    build(serial);
-    auto expect = serial.runSerial();
+    ExecutionPolicy serial;
+    serial.repo = &privateRepo;
+    auto expect = runSerial(points, serial);
 
     // Distributed: same grid, two worker processes, disk-backed traces,
     // crash-resume journal.
-    SweepOptions opts;
-    opts.processes = 2;
-    opts.storeDir = store;
-    opts.journalPath = journal;
+    ExecutionPolicy policy = ExecutionPolicy::fromEnv();
+    policy.backend = ExecutionPolicy::Backend::Process;
+    policy.processes = 2;
+    policy.storeDir = store;
+    policy.journalPath = journal;
     dist::DistStats stats;
-    opts.distStats = &stats;
+    policy.distStats = &stats;
 
-    Sweep sweep(opts);
-    build(sweep);
-    std::cout << "distributed sweep: " << sweep.size()
-              << " grid points over " << opts.processes << " workers\n\n";
-    auto results = sweep.run();
+    std::cout << "distributed sweep: " << points.size()
+              << " grid points over " << policy.processes << " workers\n\n";
+    auto results = runPoints(points, policy);
 
     TextTable table({"point", "cycles", "ipc"});
     for (const auto &r : results)
@@ -82,19 +80,15 @@ main()
 
     // Second invocation: everything resumes from the journal.
     dist::DistStats resumed;
-    opts.distStats = &resumed;
-    Sweep rerun(opts);
-    build(rerun);
-    auto resumedResults = rerun.run();
+    policy.distStats = &resumed;
+    auto resumedResults = runPoints(points, policy);
     std::cout << "run 2: " << resumed.summary() << '\n';
 
     // And with the journal gone, traces still come off the disk store.
     std::remove(journal.c_str());
     dist::DistStats fromStore;
-    opts.distStats = &fromStore;
-    Sweep storeRun(opts);
-    build(storeRun);
-    auto storeResults = storeRun.run();
+    policy.distStats = &fromStore;
+    auto storeResults = runPoints(points, policy);
     std::cout << "run 3: " << fromStore.summary() << '\n';
 
     bool ok = true;
@@ -102,7 +96,7 @@ main()
         ok = ok && results[i].sameRun(expect[i]) &&
              resumedResults[i].sameRun(expect[i]) &&
              storeResults[i].sameRun(expect[i]);
-    std::cout << "\nbit-identical to the serial sweep: "
+    std::cout << "\nbit-identical to the serial oracle: "
               << (ok ? "yes" : "NO") << '\n';
     if (fromStore.generations != 0) {
         std::cout << "expected zero regenerations from the store\n";

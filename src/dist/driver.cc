@@ -104,7 +104,7 @@ struct WorkerProc
 
 /**
  * Append side of the crash journal.  A plain fd, not an ofstream: with
- * DistOptions::journalSync each entry is fdatasync()ed so it survives a
+ * ExecutionPolicy::journalSync each entry is fdatasync()ed so it survives a
  * *host* crash, and that requires the real descriptor.  Opened
  * O_CLOEXEC; fork-without-exec children close it via the spawn-time
  * close list.
@@ -303,7 +303,7 @@ setCloexec(int fd)
  *  parent-side descriptors the child must drop so a dead driver reads
  *  as EOF everywhere.  @return {pid, driver-side fd}. */
 std::pair<pid_t, int>
-spawnWorker(const DistOptions &opts, const std::vector<int> &closeFds)
+spawnWorker(const ExecutionPolicy &policy, const std::vector<int> &closeFds)
 {
     int sv[2];
     if (socketpair(AF_UNIX, SOCK_STREAM, 0, sv) != 0)
@@ -317,13 +317,13 @@ spawnWorker(const DistOptions &opts, const std::vector<int> &closeFds)
         ::close(sv[0]);
         for (int fd : closeFds)
             ::close(fd);
-        if (opts.execPath.empty()) {
+        if (policy.execPath.empty()) {
             ::_exit(workerServe(sv[1]));
         } else {
             std::vector<std::string> args;
-            args.push_back(opts.execPath);
-            args.insert(args.end(), opts.execArgs.begin(),
-                        opts.execArgs.end());
+            args.push_back(policy.execPath);
+            args.insert(args.end(), policy.execArgs.begin(),
+                        policy.execArgs.end());
             args.push_back("--worker");
             args.push_back("--fd");
             args.push_back(std::to_string(sv[1]));
@@ -331,7 +331,7 @@ spawnWorker(const DistOptions &opts, const std::vector<int> &closeFds)
             for (auto &a : args)
                 argv.push_back(a.data());
             argv.push_back(nullptr);
-            execv(opts.execPath.c_str(), argv.data());
+            execv(policy.execPath.c_str(), argv.data());
             ::_exit(127); // exec failed
         }
     }
@@ -488,10 +488,10 @@ gridSignature(const std::vector<SweepPoint> &points)
 }
 
 std::vector<SweepResult>
-runSweep(const std::vector<SweepPoint> &points, const DistOptions &opts,
+runSweep(const std::vector<SweepPoint> &points, const ExecutionPolicy &policy,
          DistStats *stats)
 {
-    vmmx_assert(opts.processes >= 1,
+    vmmx_assert(policy.processes >= 1,
                 "distributed sweep needs at least one worker");
     DistStats local;
     DistStats &st = stats ? *stats : local;
@@ -506,35 +506,35 @@ runSweep(const std::vector<SweepPoint> &points, const DistOptions &opts,
 
     // ---- journal restore ------------------------------------------------
     const u64 signature = gridSignature(points);
-    Journal journal(opts.journalSync);
-    if (!opts.journalPath.empty()) {
+    Journal journal(policy.journalSync);
+    if (!policy.journalPath.empty()) {
         u64 validEnd = 0;
         bool needRewrite = false;
-        bool valid = journalLoad(opts.journalPath, signature, results, have,
+        bool valid = journalLoad(policy.journalPath, signature, results, have,
                                  st.jobsResumed, validEnd, st.journalSkipped,
                                  needRewrite);
         if (valid && needRewrite) {
             warn("journal '%s' has damaged entries mid-file; rewriting it",
-                 opts.journalPath.c_str());
+                 policy.journalPath.c_str());
             valid = false; // rewrite from the restored state below
         }
         if (valid) {
             // Drop any half-written tail so appended entries stay
             // reachable on the next resume.
             std::error_code ec;
-            std::filesystem::resize_file(opts.journalPath, validEnd, ec);
+            std::filesystem::resize_file(policy.journalPath, validEnd, ec);
             if (ec) {
                 warn("cannot drop damaged tail of journal '%s' (%s); "
-                     "rewriting it", opts.journalPath.c_str(),
+                     "rewriting it", policy.journalPath.c_str(),
                      ec.message().c_str());
                 valid = false;
-            } else if (!journal.open(opts.journalPath, false)) {
-                fatal("cannot open journal '%s'", opts.journalPath.c_str());
+            } else if (!journal.open(policy.journalPath, false)) {
+                fatal("cannot open journal '%s'", policy.journalPath.c_str());
             }
         }
         if (!valid) {
-            if (!journal.open(opts.journalPath, true))
-                fatal("cannot open journal '%s'", opts.journalPath.c_str());
+            if (!journal.open(policy.journalPath, true))
+                fatal("cannot open journal '%s'", policy.journalPath.c_str());
             journal.writeHeader(signature);
             for (size_t i = 0; i < results.size(); ++i) {
                 if (!have[i])
@@ -561,10 +561,10 @@ runSweep(const std::vector<SweepPoint> &points, const DistOptions &opts,
     // otherwise.  Shared with the thread-pool engine so both backends
     // form units identically.
     std::vector<std::vector<u32>> units =
-        buildSweepUnits(points, pending, opts.batch);
+        buildSweepUnits(points, pending, policy.batch);
     std::vector<unsigned> attempts(units.size(), 0);
     std::vector<bool> failed(points.size(), false); // quarantined points
-    const unsigned maxAttempts = std::max(opts.maxUnitAttempts, 1u);
+    const unsigned maxAttempts = std::max(policy.maxUnitAttempts, 1u);
 
     // Writing to a worker that died must surface as an EPIPE error code,
     // not kill the driver.
@@ -574,17 +574,17 @@ runSweep(const std::vector<SweepPoint> &points, const DistOptions &opts,
 
     // ---- slots and shards -----------------------------------------------
     const unsigned n = unsigned(
-        std::min<size_t>(opts.processes, units.size()));
+        std::min<size_t>(policy.processes, units.size()));
     st.workers = n;
     st.perWorker.resize(n);
     SetupMsg setup; // per-spawn workerId filled in at spawn time
     setup.storeDir =
-        opts.storeDir.empty() ? TraceStore::defaultDir() : opts.storeDir;
-    setup.cacheBudget = opts.cacheBudget;
-    setup.decodedBudget = opts.decodedBudget;
-    setup.decoded = opts.decoded;
-    setup.quiet = opts.quiet;
-    setup.faultSpec = opts.faultSpec;
+        policy.storeDir.empty() ? TraceStore::defaultDir() : policy.storeDir;
+    setup.cacheBudget = policy.rawBudget;
+    setup.decodedBudget = policy.decodedBudget;
+    setup.decoded = policy.decoded;
+    setup.quiet = vmmx::quiet();
+    setup.faultSpec = policy.faultSpec;
     setup.telemetry = telemetry::enabled();
 
     u32 nextSpawnId = 0;
@@ -678,12 +678,12 @@ runSweep(const std::vector<SweepPoint> &points, const DistOptions &opts,
         std::string detail =
             reason.empty() ? statusText : reason + "; " + statusText;
         st.exitCauses.push_back({w.slot, w.spawnId, cause, detail});
-        if (!opts.quiet)
+        if (!setup.quiet)
             warn("worker %u (slot %u) lost -- %s: %s -- recovering",
                  unsigned(w.spawnId), w.slot, name(cause), detail.c_str());
         reclaim(w);
         w.doneSent = false;
-        if (remaining > 0 && w.respawnsUsed < opts.maxRespawns) {
+        if (remaining > 0 && w.respawnsUsed < policy.maxRespawns) {
             ++w.respawnsUsed;
             w.respawnPending = true;
             u64 backoff = std::min(
@@ -761,7 +761,7 @@ runSweep(const std::vector<SweepPoint> &points, const DistOptions &opts,
                 closeFds.push_back(other.fd);
         if (journal.ok())
             closeFds.push_back(journal.fd());
-        auto [pid, fd] = spawnWorker(opts, closeFds);
+        auto [pid, fd] = spawnWorker(policy, closeFds);
         w.pid = pid;
         w.fd = fd;
         w.spawnId = nextSpawnId++;
@@ -818,15 +818,13 @@ runSweep(const std::vector<SweepPoint> &points, const DistOptions &opts,
      *  would have produced. */
     auto degrade = [&]() {
         st.degraded = true;
-        if (!opts.quiet)
+        if (!setup.quiet)
             warn("worker fleet exhausted; running %zu remaining points "
                  "in-driver", remaining);
         auto store = std::make_unique<TraceStore>(setup.storeDir);
-        TraceRepository repo(store.get(), opts.cacheBudget,
-                             opts.decodedBudget);
-        ExecutionPolicy pol;
-        pol.batch = opts.batch;
-        pol.decoded = opts.decoded;
+        TraceRepository repo(store.get(), policy.rawBudget,
+                             policy.decodedBudget);
+        ExecutionPolicy pol = policy;
         pol.repo = &repo;
         for (u32 u = 0; u < units.size() && remaining > 0; ++u) {
             std::vector<u32> subset;
@@ -882,16 +880,16 @@ runSweep(const std::vector<SweepPoint> &points, const DistOptions &opts,
     std::vector<u8> frame;
     while (remaining > 0 || awaitingStats()) {
         fireRespawns();
-        if (opts.unitTimeoutMs > 0) {
+        if (policy.unitTimeoutMs > 0) {
             u64 now = nowMs();
             for (auto &w : workers)
                 if (w.live() && !w.inflight.empty() &&
-                    now - w.inflight.front().started >= opts.unitTimeoutMs)
+                    now - w.inflight.front().started >= policy.unitTimeoutMs)
                     workerDied(w, WorkerExit::Cause::Hung,
                                "unit " +
                                    std::to_string(w.inflight.front().unit) +
                                    " blew the " +
-                                   std::to_string(opts.unitTimeoutMs) +
+                                   std::to_string(policy.unitTimeoutMs) +
                                    "ms deadline",
                                true);
         }
@@ -916,8 +914,8 @@ runSweep(const std::vector<SweepPoint> &points, const DistOptions &opts,
             if (!w.live() || w.statsSeen)
                 continue;
             pfds.push_back({w.fd, POLLIN, 0});
-            if (opts.unitTimeoutMs > 0 && !w.inflight.empty())
-                wakeAt(w.inflight.front().started + opts.unitTimeoutMs);
+            if (policy.unitTimeoutMs > 0 && !w.inflight.empty())
+                wakeAt(w.inflight.front().started + policy.unitTimeoutMs);
         }
         if (pfds.empty()) {
             if (timeout < 0)
@@ -1081,7 +1079,7 @@ runSweep(const std::vector<SweepPoint> &points, const DistOptions &opts,
             e.detail = "exit " + std::to_string(WEXITSTATUS(status)) +
                        " after completing its jobs";
         }
-        if (!opts.quiet)
+        if (!setup.quiet)
             warn("worker %u (slot %u) exited abnormally after completing "
                  "its jobs (%s)", unsigned(w.spawnId), w.slot,
                  e.detail.c_str());

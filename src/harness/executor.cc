@@ -78,14 +78,14 @@ ExecutionPolicy
 ExecutionPolicy::fromEnv()
 {
     ExecutionPolicy p;
-    p.batch = env::flag("VMMX_SWEEP_BATCH", p.batch);
-    p.decoded = env::flag("VMMX_SWEEP_DECODED", p.decoded);
     p.rawBudget = env::byteSize("VMMX_TRACE_CACHE_BUDGET");
     p.decodedBudget = env::byteSize("VMMX_DECODED_CACHE_BUDGET");
     p.storeDir = env::str("VMMX_TRACE_STORE");
     p.maxRespawns = dist::maxRespawnsFromEnv();
     p.unitTimeoutMs = dist::unitTimeoutMsFromEnv();
     p.maxUnitAttempts = dist::maxUnitAttemptsFromEnv();
+    p.faultSpec = dist::faultSpecFromEnv();
+    p.journalSync = dist::journalSyncFromEnv();
     return p;
 }
 
@@ -131,6 +131,18 @@ runSweepPoint(const SweepPoint &point, const ExecutionPolicy &policy,
     r.result = resolveAndRun(point, {&machine, 1}, policy.repository(),
                              useDecoded, r.traceLength)[0];
     return r;
+}
+
+std::vector<SweepResult>
+runSerial(const std::vector<SweepPoint> &points,
+          const ExecutionPolicy &policy)
+{
+    std::vector<SweepResult> results;
+    results.reserve(points.size());
+    for (const auto &point : points)
+        results.push_back(runSweepPoint(point, policy,
+                                        /*useDecoded=*/false));
+    return results;
 }
 
 void
@@ -254,20 +266,7 @@ std::vector<SweepResult>
 ProcessExecutor::run(const std::vector<SweepPoint> &points,
                      const ExecutionPolicy &policy) const
 {
-    dist::DistOptions dopts;
-    dopts.processes = policy.processes;
-    dopts.storeDir = policy.storeDir;
-    dopts.cacheBudget = policy.rawBudget;
-    dopts.decodedBudget = policy.decodedBudget;
-    dopts.journalPath = policy.journalPath;
-    dopts.batch = policy.batch;
-    dopts.decoded = policy.decoded;
-    dopts.maxRespawns = policy.maxRespawns;
-    dopts.unitTimeoutMs = policy.unitTimeoutMs;
-    dopts.maxUnitAttempts = policy.maxUnitAttempts;
-    dopts.execPath = policy.execPath;
-    dopts.execArgs = policy.execArgs;
-    return dist::runSweep(points, dopts, policy.distStats);
+    return dist::runSweep(points, policy, policy.distStats);
 }
 
 const Executor &

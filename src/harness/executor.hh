@@ -20,9 +20,13 @@
  * TCP rung) is one more implementation of this interface; nothing above
  * it has to change.
  *
- * The policy's defaults come from the legacy VMMX_* environment
- * variables through ExecutionPolicy::fromEnv() -- the single place
- * those variables are still consulted (via common/env.hh).
+ * runSerial() is the decode-on-the-fly oracle the backends are checked
+ * against: one point at a time on the calling thread, never batched,
+ * never served from the decoded tier.
+ *
+ * The policy's defaults come from the VMMX_* environment variables
+ * through ExecutionPolicy::fromEnv() -- the single place those
+ * variables are consulted for execution knobs (via common/env.hh).
  */
 
 #ifndef VMMX_HARNESS_EXECUTOR_HH
@@ -36,11 +40,16 @@
 namespace vmmx
 {
 
+namespace dist
+{
+struct DistStats;
+}
+
 /**
  * How to execute a grid: backend choice plus every knob the backends
- * understand.  The declarative subset (everything up to journalPath)
- * round-trips through the [exec] section of a study spec file; the
- * trailing pointers are runtime-only wiring and never serialized.
+ * understand.  The declarative subset (everything up to
+ * maxUnitAttempts) round-trips through the [exec] section of a study
+ * spec file; the trailing runtime-only fields are never serialized.
  */
 struct ExecutionPolicy
 {
@@ -67,14 +76,15 @@ struct ExecutionPolicy
     std::string storeDir;
     /** Crash-resume journal (Process backend); "" = no journal. */
     std::string journalPath;
-    /** Process backend: respawns per worker slot before it is
-     *  abandoned; 0 = never respawn (see DistOptions::maxRespawns). */
+    /** Process backend: respawns per worker slot before the slot is
+     *  abandoned; 0 = never respawn. */
     unsigned maxRespawns = 3;
-    /** Process backend: per-unit wall-clock deadline in ms; 0 = none
-     *  (see DistOptions::unitTimeoutMs). */
+    /** Process backend: per-unit wall-clock deadline in ms; a worker
+     *  that exceeds it is declared hung, SIGKILLed and treated as
+     *  crashed.  0 = no deadline. */
     u64 unitTimeoutMs = 0;
-    /** Process backend: attempts before a worker-killing unit is
-     *  quarantined (see DistOptions::maxUnitAttempts). */
+    /** Process backend: workers a single unit may kill before it is
+     *  quarantined rather than retried (>= 1). */
     unsigned maxUnitAttempts = 3;
 
     // ---- runtime-only wiring (not part of the declarative spec) ------
@@ -84,16 +94,26 @@ struct ExecutionPolicy
     /** Optional out-param for Process-backend statistics. */
     dist::DistStats *distStats = nullptr;
     /** Self-exec worker binary for the Process backend ("" forks
-     *  without exec); see DistOptions::execPath. */
+     *  without exec).  The target's main() must call
+     *  dist::maybeWorkerMain() first. */
     std::string execPath;
     /** Extra argv for execPath, before the appended "--worker --fd N". */
     std::vector<std::string> execArgs;
+    /** Process backend: deterministic fault plan forwarded to every
+     *  worker spawn ("" = none); grammar in common/env.hh
+     *  (FaultAction). */
+    std::string faultSpec;
+    /** Process backend: fdatasync() the journal after every appended
+     *  entry, so results survive a host crash, not just a driver
+     *  crash.  Off by default: the sync costs more than most points. */
+    bool journalSync = false;
 
-    /** The built-in defaults with the legacy environment knobs layered
-     *  on top: VMMX_SWEEP_BATCH, VMMX_SWEEP_DECODED,
-     *  VMMX_TRACE_CACHE_BUDGET, VMMX_DECODED_CACHE_BUDGET,
+    /** The built-in defaults with the environment knobs layered on
+     *  top: VMMX_TRACE_CACHE_BUDGET, VMMX_DECODED_CACHE_BUDGET,
      *  VMMX_TRACE_STORE, VMMX_MAX_RESPAWNS, VMMX_UNIT_TIMEOUT_MS,
-     *  VMMX_MAX_UNIT_ATTEMPTS. */
+     *  VMMX_MAX_UNIT_ATTEMPTS, VMMX_FAULT_SPEC, VMMX_JOURNAL_SYNC.
+     *  batch and decoded have no variable: the [exec] keys of a study
+     *  spec are their one home. */
     static ExecutionPolicy fromEnv();
 
     /** The repository this policy resolves traces through. */
@@ -174,9 +194,19 @@ std::vector<SweepResult> runPoints(const std::vector<SweepPoint> &points,
                                    const ExecutionPolicy &policy);
 
 /**
+ * The reference serial loop: every point of @p points on the calling
+ * thread, one at a time, decoding on the fly (never batched, never
+ * served from the decoded tier) -- the determinism baseline every
+ * backend is checked against.  Traces still resolve through
+ * policy.repository(); only that field of @p policy is consulted.
+ */
+std::vector<SweepResult> runSerial(const std::vector<SweepPoint> &points,
+                                   const ExecutionPolicy &policy);
+
+/**
  * Run one grid point under @p policy on the calling thread.
  * @p useDecoded false forces the decode-on-the-fly reference path
- * regardless of policy.decoded (Sweep::runSerial's baseline).
+ * regardless of policy.decoded (runSerial's baseline).
  */
 SweepResult runSweepPoint(const SweepPoint &point,
                           const ExecutionPolicy &policy, bool useDecoded);

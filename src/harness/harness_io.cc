@@ -42,7 +42,7 @@ static_assert(sizeof(Config) == sizeof(std::map<std::string, std::string>),
 // real struct but not here (and not to its codec/report) trips the
 // assert.  ExecutionPolicy's declarative fields round-trip through the
 // [exec] spec section (formatStudySpec/parseStudySpec below); DistStats
-// feeds its own summary() and the vmmx_sweepd per-worker report.
+// feeds its own summary() and the vmmx_study per-worker report.
 namespace
 {
 
@@ -64,6 +64,8 @@ struct ExecutionPolicyMirror
     dist::DistStats *distStats;
     std::string execPath;
     std::vector<std::string> execArgs;
+    std::string faultSpec;
+    bool journalSync;
 };
 
 struct SweepPointMirror
@@ -98,12 +100,12 @@ static_assert(sizeof(SweepPoint) == sizeof(SweepPointMirror),
 
 static_assert(sizeof(ExecutionPolicy) == sizeof(ExecutionPolicyMirror),
               "ExecutionPolicy gained or lost a field: update the [exec] "
-              "spec codec, operator==, ProcessExecutor's DistOptions "
-              "mapping, and this mirror in lockstep");
+              "spec codec (or fromEnv() for runtime-only fields), "
+              "operator==, and this mirror in lockstep");
 
 static_assert(sizeof(dist::DistStats) == sizeof(DistStatsMirror),
               "DistStats gained or lost a field: update summary(), the "
-              "vmmx_sweepd report, and this mirror in lockstep");
+              "vmmx_study report, and this mirror in lockstep");
 
 void
 serialize(wire::Writer &w, const Config &c)

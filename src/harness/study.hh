@@ -9,7 +9,7 @@
  *                    optional ablation override sets (cross product)
  *   ExecutionPolicy  which backend runs the grid and how (threads,
  *                    processes, batching, decoded tier, budgets);
- *                    defaults come from the legacy VMMX_* environment
+ *                    defaults come from the VMMX_* environment
  *                    variables through one parser (common/env.hh)
  *   ReportSpec       which derived metrics to print -- speedup against
  *                    a named baseline configuration, cycle breakdown,
@@ -22,9 +22,6 @@
  * text file format (Study::fromFile / Study::specText, codec in
  * harness/harness_io.*), so a figure is reproducible from a checked-in
  * spec via tools/vmmx_study instead of a bespoke binary.
- *
- * The older Sweep class remains as a thin compatibility wrapper over
- * this machinery for one release; new code should start here.
  */
 
 #ifndef VMMX_HARNESS_STUDY_HH

@@ -1,23 +1,19 @@
 /**
  * @file
- * Grid-point vocabulary (SweepPoint/SweepResult), the shared unit
- * scheduler (buildSweepUnits), and the legacy Sweep front end.
+ * Grid-point vocabulary (SweepPoint/SweepResult) and the shared unit
+ * scheduler (buildSweepUnits).
  *
  * Every figure in the paper is a sweep: the same few traces replayed on
- * a grid of machine configurations.  The execution machinery lives in
- * harness/executor.* (pluggable Serial/ThreadPool/Process backends over
- * one ExecutionPolicy) with the declarative front end in
- * harness/study.* -- new code should start there.  Sweep remains as a
- * thin compatibility wrapper for one release: it still collects grid
- * points imperatively and its run() maps SweepOptions onto an
- * ExecutionPolicy and dispatches through the same executors, so the old
- * and new APIs are bit-identical by construction.
+ * a grid of machine configurations.  Grids are described by a StudySpec
+ * (harness/study.*) or assembled as SweepPoint aggregates, and run
+ * through the pluggable Serial/ThreadPool/Process backends of
+ * harness/executor.* under one ExecutionPolicy.
  *
- * What this header still owns outright is the scheduling vocabulary
- * shared by every backend: points are grouped by the trace they replay
- * (groupPointsByTrace) and formed into schedulable units
- * (buildSweepUnits) -- whole trace groups when batching, single points
- * otherwise -- so all backends always shard the same way.
+ * This header owns the scheduling vocabulary shared by every backend:
+ * points are grouped by the trace they replay (groupPointsByTrace) and
+ * formed into schedulable units (buildSweepUnits) -- whole trace groups
+ * when batching, single points otherwise -- so all backends always
+ * shard the same way.
  */
 
 #ifndef VMMX_HARNESS_SWEEP_HH
@@ -34,13 +30,6 @@
 namespace vmmx
 {
 
-namespace dist
-{
-struct DistStats;
-}
-
-struct ExecutionPolicy; // harness/executor.hh
-
 /** One grid point: a trace source plus the machine that replays it. */
 struct SweepPoint
 {
@@ -52,9 +41,9 @@ struct SweepPoint
     SimdKind kind = SimdKind::MMX64;
     unsigned way = 2;
     /** Optional machine knob overrides (ablation studies). */
-    Config overrides;
+    Config overrides{};
     /** Pre-resolved trace (Workload::Trace only). */
-    SharedTrace trace;
+    SharedTrace trace = nullptr;
 
     /** e.g. "idct/vmmx128/4-way", with any ablation overrides appended
      *  ("+core.robEntries=64") so knob-only variants stay tellable
@@ -84,49 +73,6 @@ struct SweepResult
     }
 };
 
-/** Default for SweepOptions::batch: $VMMX_SWEEP_BATCH via env::flag()
- *  (common/env.hh, the one environment parser); unset = on. */
-bool sweepBatchFromEnv();
-
-/** Default for SweepOptions::decoded: $VMMX_SWEEP_DECODED via
- *  env::flag(); unset = on. */
-bool sweepDecodedFromEnv();
-
-/** Legacy execution knobs; Sweep::run() maps these onto an
- *  ExecutionPolicy (harness/executor.hh), which new code should use
- *  directly. */
-struct SweepOptions
-{
-    /** Worker threads; 0 picks std::thread::hardware_concurrency(). */
-    unsigned threads = 0;
-    /** Trace repository to resolve against; null uses the process-wide
-     *  one (TraceRepository::instance()). */
-    TraceRepository *repo = nullptr;
-    /** Group points by trace and run each group as one batched pass
-     *  (runTraceBatch).  Off: one runTrace job per point, as before the
-     *  batched engine.  Results are bit-identical either way. */
-    bool batch = sweepBatchFromEnv();
-    /** Resolve jobs through the repository's decoded tier (one decode
-     *  per trace per process).  Off: every job decodes on the fly, the
-     *  pre-repository behaviour.  Results are bit-identical either
-     *  way. */
-    bool decoded = sweepDecodedFromEnv();
-
-    // ---- multi-process backend (src/dist/) ---------------------------
-    /** Worker process count; 0 stays on the in-process thread pool.
-     *  When > 0, run() shards the grid across forked worker processes
-     *  that share traces through the on-disk TraceStore; results remain
-     *  bit-identical to the serial loop.  With batch on, sharding is by
-     *  trace group, so workers batch too. */
-    unsigned processes = 0;
-    /** Trace store directory; "" uses TraceStore::defaultDir(). */
-    std::string storeDir;
-    /** Crash-resume journal file; "" disables journaling. */
-    std::string journalPath;
-    /** Optional out-param for the distributed run's statistics. */
-    dist::DistStats *distStats = nullptr;
-};
-
 /**
  * Indices of @p subset (submission indices into @p points) grouped by
  * the trace the points replay: kernel/app points group by (workload,
@@ -151,64 +97,6 @@ groupPointsByTrace(const std::vector<SweepPoint> &points);
 std::vector<std::vector<u32>>
 buildSweepUnits(const std::vector<SweepPoint> &points,
                 const std::vector<u32> &subset, bool batch);
-
-/**
- * Imperative grid builder and runner (compatibility wrapper over the
- * Study/Executor machinery; see the file comment).
- */
-class Sweep
-{
-  public:
-    explicit Sweep(const SweepOptions &opts = {});
-
-    // ---- grid construction ------------------------------------------
-    Sweep &addKernel(const std::string &name, SimdKind kind, unsigned way,
-                     const Config &overrides = {});
-    Sweep &addApp(const std::string &name, SimdKind kind, unsigned way,
-                  const Config &overrides = {});
-    /** Replay an explicit trace (custom programs, tests). */
-    Sweep &addTrace(SharedTrace trace, SimdKind kind, unsigned way,
-                    const std::string &label = "trace",
-                    const Config &overrides = {});
-
-    /** Cross product helpers for the common grid shapes. */
-    Sweep &addKernelGrid(const std::vector<std::string> &names,
-                         const std::vector<SimdKind> &kinds,
-                         const std::vector<unsigned> &ways);
-    Sweep &addAppGrid(const std::vector<std::string> &names,
-                      const std::vector<SimdKind> &kinds,
-                      const std::vector<unsigned> &ways);
-
-    size_t size() const { return points_.size(); }
-    const std::vector<SweepPoint> &points() const { return points_; }
-
-    // ---- execution ---------------------------------------------------
-    /**
-     * Run every point and return results in submission order.  Uses the
-     * configured thread count; a count of 1 (or a single-job sweep)
-     * stays on the calling thread.
-     */
-    std::vector<SweepResult> run() const;
-
-    /** Reference serial per-point loop on the calling thread (the
-     *  determinism baseline; never batches).  Still resolves traces
-     *  through the cache. */
-    std::vector<SweepResult> runSerial() const;
-
-  private:
-    /** The ExecutionPolicy equivalent of opts_ (fromEnv() defaults with
-     *  the explicit options layered on top). */
-    ExecutionPolicy policy() const;
-
-    SweepOptions opts_;
-    std::vector<SweepPoint> points_;
-};
-
-/** Convenience: sweep a single explicit trace over (kind, way) machines. */
-std::vector<SweepResult>
-sweepTrace(const SharedTrace &trace, SimdKind kind,
-           const std::vector<unsigned> &ways,
-           const SweepOptions &opts = {});
 
 } // namespace vmmx
 

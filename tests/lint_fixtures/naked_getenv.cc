@@ -11,7 +11,7 @@ namespace vmmx
 unsigned
 sweepChunkOverride()
 {
-    const char *v = std::getenv("VMMX_SWEEP_CHUNK");
+    const char *v = std::getenv("VMMX_UNIT_CHUNK");
     if (!v)
         return 0;
     return unsigned(std::strtoul(v, nullptr, 10));

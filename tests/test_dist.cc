@@ -3,7 +3,7 @@
  * Distributed sweep subsystem tests.
  *
  * The headline guarantees: a multi-process sharded sweep is bit-identical
- * to the serial in-process sweep on the same grid; a second run of the
+ * to the runSerial() oracle on the same grid; a second run of the
  * same grid is served entirely from the on-disk TraceStore (zero trace
  * regenerations); and an interrupted journaled run resumes without
  * re-executing completed grid points.  Plus the TraceStore (tier-0)
@@ -21,8 +21,9 @@
 #include <unistd.h>
 
 #include "common/logging.hh"
+#include "common/telemetry.hh"
 #include "dist/driver.hh"
-#include "harness/sweep.hh"
+#include "harness/study.hh"
 #include "trace/trace_repo.hh"
 #include "trace/trace_store.hh"
 
@@ -53,41 +54,49 @@ class DistTest : public testing::Test
 
     /** 3 kernels x 4 flavours x 2 widths = 24 points, 12 distinct
      *  traces.  Short-trace kernels keep the suite fast. */
-    static void buildGrid(Sweep &s)
-    {
-        s.addKernelGrid({"motion1", "motion2", "comp"},
-                        {SimdKind::MMX64, SimdKind::MMX128,
-                         SimdKind::VMMX64, SimdKind::VMMX128},
-                        {2, 4});
-    }
-
-    std::vector<SweepResult> runSerial()
-    {
-        SweepOptions opts;
-        opts.threads = 1;
-        opts.repo = &serialRepo_;
-        Sweep sweep(opts);
-        buildGrid(sweep);
-        return sweep.runSerial();
-    }
-
-    /** The same grid as raw points, for driving dist::runSweep()
-     *  directly -- the fault-injection tests need DistOptions knobs the
-     *  SweepOptions wrapper does not carry. */
     static std::vector<SweepPoint> gridPoints()
     {
-        Sweep s;
-        buildGrid(s);
-        return s.points();
+        StudySpec spec;
+        spec.kernels = {"motion1", "motion2", "comp"};
+        spec.kinds = {SimdKind::MMX64, SimdKind::MMX128, SimdKind::VMMX64,
+                      SimdKind::VMMX128};
+        spec.ways = {2, 4};
+        return Study(std::move(spec)).points();
     }
 
-    dist::DistOptions faultOpts() const
+    /** The runSerial() oracle over gridPoints(). */
+    std::vector<SweepResult> serialReference()
     {
-        dist::DistOptions d;
-        d.processes = 2;
-        d.storeDir = storeDir();
-        d.quiet = true;
-        return d;
+        ExecutionPolicy policy = ExecutionPolicy::fromEnv();
+        policy.repo = &serialRepo_;
+        return runSerial(gridPoints(), policy);
+    }
+
+    /** A Process-backend policy over the test's store; every other
+     *  field keeps its environment default, so CI's tiny-budget rerun
+     *  reaches the workers' repositories. */
+    ExecutionPolicy procPolicy(unsigned processes = 2) const
+    {
+        ExecutionPolicy policy = ExecutionPolicy::fromEnv();
+        policy.backend = ExecutionPolicy::Backend::Process;
+        policy.processes = processes;
+        policy.storeDir = storeDir();
+        return policy;
+    }
+
+    /** Run @p points under @p policy through dist::runSweep() directly
+     *  or, with @p viaExecutor, through the ProcessExecutor
+     *  (runPoints), which must forward the policy -- fault plan and
+     *  journal sync included -- unchanged. */
+    static std::vector<SweepResult>
+    runDistributed(const std::vector<SweepPoint> &points,
+                   ExecutionPolicy policy, dist::DistStats &stats,
+                   bool viaExecutor)
+    {
+        if (!viaExecutor)
+            return dist::runSweep(points, policy, &stats);
+        policy.distStats = &stats;
+        return runPoints(points, policy);
     }
 
     static size_t countCause(const dist::DistStats &s,
@@ -108,18 +117,15 @@ class DistTest : public testing::Test
 // is served from the on-disk TraceStore with zero trace regenerations.
 TEST_F(DistTest, TwoProcessShardedSweepBitIdenticalAndStoreReuse)
 {
-    auto expect = runSerial();
+    auto expect = serialReference();
     ASSERT_GE(expect.size(), 24u);
 
-    SweepOptions opts;
-    opts.processes = 2;
-    opts.storeDir = storeDir();
+    auto points = gridPoints();
+    ExecutionPolicy policy = procPolicy();
     dist::DistStats first;
-    opts.distStats = &first;
-    Sweep sweep(opts);
-    buildGrid(sweep);
+    policy.distStats = &first;
 
-    auto got = sweep.run();
+    auto got = runPoints(points, policy);
     ASSERT_EQ(got.size(), expect.size());
     for (size_t i = 0; i < expect.size(); ++i) {
         EXPECT_TRUE(got[i].sameRun(expect[i]))
@@ -134,10 +140,8 @@ TEST_F(DistTest, TwoProcessShardedSweepBitIdenticalAndStoreReuse)
 
     // Second run of the same grid: every trace comes off disk.
     dist::DistStats second;
-    opts.distStats = &second;
-    Sweep again(opts);
-    buildGrid(again);
-    auto rerun = again.run();
+    policy.distStats = &second;
+    auto rerun = runPoints(points, policy);
     for (size_t i = 0; i < expect.size(); ++i)
         EXPECT_TRUE(rerun[i].sameRun(expect[i])) << "rerun point " << i;
     EXPECT_EQ(second.generations, 0u) << "trace regenerated despite store";
@@ -146,17 +150,13 @@ TEST_F(DistTest, TwoProcessShardedSweepBitIdenticalAndStoreReuse)
 
 TEST_F(DistTest, OddWorkerCountsStayIdentical)
 {
-    auto expect = runSerial();
+    auto expect = serialReference();
 
     for (unsigned processes : {1u, 3u}) {
-        SweepOptions opts;
-        opts.processes = processes;
-        opts.storeDir = storeDir();
+        ExecutionPolicy policy = procPolicy(processes);
         dist::DistStats stats;
-        opts.distStats = &stats;
-        Sweep sweep(opts);
-        buildGrid(sweep);
-        auto got = sweep.run();
+        policy.distStats = &stats;
+        auto got = runPoints(gridPoints(), policy);
         ASSERT_EQ(got.size(), expect.size());
         for (size_t i = 0; i < expect.size(); ++i)
             EXPECT_TRUE(got[i].sameRun(expect[i]))
@@ -170,28 +170,21 @@ TEST_F(DistTest, ExplicitTracePointsCrossTheWire)
     TraceRepository repo;
     SharedTrace trace = repo.kernel("addblock", SimdKind::MMX64).shared();
 
-    auto build = [&](Sweep &s) {
-        for (unsigned way : {2u, 4u, 8u})
-            s.addTrace(trace, SimdKind::MMX64, way, "custom");
-    };
-    SweepOptions serialOpts;
-    serialOpts.threads = 1;
-    serialOpts.repo = &repo;
-    Sweep serial(serialOpts);
-    build(serial);
-    auto expect = serial.runSerial();
+    std::vector<SweepPoint> points;
+    for (unsigned way : {2u, 4u, 8u})
+        points.push_back({SweepPoint::Workload::Trace, "custom",
+                          SimdKind::MMX64, way, {}, trace});
+    ExecutionPolicy serial = ExecutionPolicy::fromEnv();
+    serial.repo = &repo;
+    auto expect = runSerial(points, serial);
 
     // More workers than grid points: the driver must clamp.  Per-point
     // sharding here; the batched path ships the whole group below.
-    SweepOptions opts;
-    opts.processes = 8;
-    opts.batch = false;
-    opts.storeDir = storeDir();
+    ExecutionPolicy policy = procPolicy(8);
+    policy.batch = false;
     dist::DistStats stats;
-    opts.distStats = &stats;
-    Sweep sweep(opts);
-    build(sweep);
-    auto got = sweep.run();
+    policy.distStats = &stats;
+    auto got = runPoints(points, policy);
     ASSERT_EQ(got.size(), expect.size());
     for (size_t i = 0; i < expect.size(); ++i)
         EXPECT_TRUE(got[i].sameRun(expect[i])) << "point " << i;
@@ -200,13 +193,11 @@ TEST_F(DistTest, ExplicitTracePointsCrossTheWire)
     // Batched: the three points are one trace group, so one JobGroup
     // frame (carrying the trace once per point encode) feeds a single
     // worker, and the clamp is by units.
-    SweepOptions batched = opts;
+    ExecutionPolicy batched = policy;
     batched.batch = true;
     dist::DistStats groupStats;
     batched.distStats = &groupStats;
-    Sweep groupSweep(batched);
-    build(groupSweep);
-    auto groupGot = groupSweep.run();
+    auto groupGot = runPoints(points, batched);
     for (size_t i = 0; i < expect.size(); ++i)
         EXPECT_TRUE(groupGot[i].sameRun(expect[i])) << "point " << i;
     EXPECT_EQ(groupStats.workers, 1u);
@@ -220,19 +211,16 @@ TEST_F(DistTest, ExplicitTracePointsCrossTheWire)
 // bit-identical to the serial per-point sweep.
 TEST_F(DistTest, TraceGroupShardingBitIdenticalToSerial)
 {
-    auto expect = runSerial();
+    auto expect = serialReference();
     ASSERT_EQ(expect.size(), 24u);
 
-    SweepOptions opts;
-    opts.processes = 2;
-    opts.batch = true;
-    opts.storeDir = storeDir();
+    auto points = gridPoints();
+    ExecutionPolicy policy = procPolicy();
+    policy.batch = true;
     dist::DistStats stats;
-    opts.distStats = &stats;
-    Sweep sweep(opts);
-    buildGrid(sweep);
+    policy.distStats = &stats;
 
-    auto got = sweep.run();
+    auto got = runPoints(points, policy);
     ASSERT_EQ(got.size(), expect.size());
     for (size_t i = 0; i < expect.size(); ++i) {
         EXPECT_TRUE(got[i].sameRun(expect[i]))
@@ -246,13 +234,11 @@ TEST_F(DistTest, TraceGroupShardingBitIdenticalToSerial)
     EXPECT_EQ(stats.groupsRun, 12u);
 
     // And the per-point (batch off) sharding agrees bit for bit.
-    SweepOptions unbatched = opts;
+    ExecutionPolicy unbatched = policy;
     unbatched.batch = false;
     dist::DistStats pointStats;
     unbatched.distStats = &pointStats;
-    Sweep pointSweep(unbatched);
-    buildGrid(pointSweep);
-    auto pointGot = pointSweep.run();
+    auto pointGot = runPoints(points, unbatched);
     for (size_t i = 0; i < expect.size(); ++i)
         EXPECT_TRUE(pointGot[i].sameRun(expect[i])) << "point " << i;
     EXPECT_EQ(pointStats.groupsRun, 24u);
@@ -260,27 +246,22 @@ TEST_F(DistTest, TraceGroupShardingBitIdenticalToSerial)
 
 TEST_F(DistTest, JournalResumeSkipsCompletedJobs)
 {
-    auto expect = runSerial();
+    auto expect = serialReference();
 
-    SweepOptions opts;
-    opts.processes = 2;
-    opts.storeDir = storeDir();
-    opts.journalPath = journalPath();
+    auto points = gridPoints();
+    ExecutionPolicy policy = procPolicy();
+    policy.journalPath = journalPath();
     dist::DistStats first;
-    opts.distStats = &first;
-    Sweep sweep(opts);
-    buildGrid(sweep);
-    auto got = sweep.run();
+    policy.distStats = &first;
+    auto got = runPoints(points, policy);
     EXPECT_EQ(first.jobsRun, expect.size());
     EXPECT_EQ(first.jobsResumed, 0u);
 
     // The journal survives success; a rerun restores every point without
     // spawning a single worker.
     dist::DistStats second;
-    opts.distStats = &second;
-    Sweep again(opts);
-    buildGrid(again);
-    auto rerun = again.run();
+    policy.distStats = &second;
+    auto rerun = runPoints(points, policy);
     EXPECT_EQ(second.jobsRun, 0u);
     EXPECT_EQ(second.jobsResumed, expect.size());
     EXPECT_EQ(second.workers, 0u);
@@ -290,25 +271,20 @@ TEST_F(DistTest, JournalResumeSkipsCompletedJobs)
 
 TEST_F(DistTest, TruncatedJournalResumesThePrefix)
 {
-    auto expect = runSerial();
+    auto expect = serialReference();
 
-    SweepOptions opts;
-    opts.processes = 2;
-    opts.storeDir = storeDir();
-    opts.journalPath = journalPath();
-    Sweep sweep(opts);
-    buildGrid(sweep);
-    sweep.run();
+    auto points = gridPoints();
+    ExecutionPolicy policy = procPolicy();
+    policy.journalPath = journalPath();
+    runPoints(points, policy);
 
     // Chop mid-entry, as a crash during an append would.
     auto size = fs::file_size(journalPath());
     fs::resize_file(journalPath(), size - 5);
 
     dist::DistStats stats;
-    opts.distStats = &stats;
-    Sweep again(opts);
-    buildGrid(again);
-    auto rerun = again.run();
+    policy.distStats = &stats;
+    auto rerun = runPoints(points, policy);
     EXPECT_EQ(stats.jobsResumed, expect.size() - 1)
         << "exactly the damaged trailing entry should rerun";
     EXPECT_EQ(stats.jobsRun, 1u);
@@ -319,21 +295,16 @@ TEST_F(DistTest, TruncatedJournalResumesThePrefix)
 
 TEST_F(DistTest, JournalForADifferentGridIsDiscarded)
 {
-    SweepOptions opts;
-    opts.processes = 2;
-    opts.storeDir = storeDir();
-    opts.journalPath = journalPath();
-    Sweep sweep(opts);
-    buildGrid(sweep);
-    sweep.run();
+    ExecutionPolicy policy = procPolicy();
+    policy.journalPath = journalPath();
+    runPoints(gridPoints(), policy);
 
     // Same journal path, different grid: must start fresh, not resume.
-    SweepOptions other = opts;
     dist::DistStats stats;
-    other.distStats = &stats;
-    Sweep small(other);
-    small.addKernel("ltpfilt", SimdKind::VMMX128, 4);
-    auto got = small.run();
+    policy.distStats = &stats;
+    auto got = runPoints(
+        {{SweepPoint::Workload::Kernel, "ltpfilt", SimdKind::VMMX128, 4}},
+        policy);
     EXPECT_EQ(stats.jobsResumed, 0u);
     EXPECT_EQ(stats.jobsRun, 1u);
 
@@ -345,45 +316,49 @@ TEST_F(DistTest, JournalForADifferentGridIsDiscarded)
 
 // ---- fault injection: the supervisor's recovery paths --------------------
 //
-// These drive dist::runSweep() directly: DistOptions carries the fault
-// plan and supervision knobs.  Every scenario must end bit-identical to
-// the serial sweep -- recovery is invisible in the results and visible
-// only in DistStats.
+// These drive dist::runSweep() directly with the fault plan and
+// supervision knobs in the ExecutionPolicy; the kill and journal cases
+// also go through the ProcessExecutor, which must forward them.  Every
+// scenario must end bit-identical to the serial sweep -- recovery is
+// invisible in the results and visible only in DistStats.
 
 TEST_F(DistTest, KilledWorkerIsRespawnedAndStaysBitIdentical)
 {
-    auto expect = runSerial();
+    auto expect = serialReference();
     auto points = gridPoints();
 
-    dist::DistOptions dopts = faultOpts();
+    ExecutionPolicy policy = procPolicy();
     // Spawn 0 calls _exit(137) the moment its second unit arrives.
-    dopts.faultSpec = "kill-after-units=1@worker0";
-    dist::DistStats stats;
-    auto got = dist::runSweep(points, dopts, &stats);
+    policy.faultSpec = "kill-after-units=1@worker0";
+    for (bool viaExecutor : {false, true}) {
+        SCOPED_TRACE(viaExecutor ? "ProcessExecutor" : "dist::runSweep");
+        dist::DistStats stats;
+        auto got = runDistributed(points, policy, stats, viaExecutor);
 
-    ASSERT_EQ(got.size(), expect.size());
-    for (size_t i = 0; i < expect.size(); ++i)
-        EXPECT_TRUE(got[i].sameRun(expect[i])) << "point " << i;
-    EXPECT_EQ(stats.jobsRun, expect.size());
-    EXPECT_EQ(stats.abnormalExits, 1u);
-    EXPECT_EQ(countCause(stats, dist::WorkerExit::Cause::Exit), 1u);
-    EXPECT_EQ(stats.retries, 1u) << "only the executing unit is charged";
-    EXPECT_GE(stats.reassignedUnits, 1u);
-    EXPECT_FALSE(stats.degraded);
-    EXPECT_TRUE(stats.quarantinedPoints.empty());
+        ASSERT_EQ(got.size(), expect.size());
+        for (size_t i = 0; i < expect.size(); ++i)
+            EXPECT_TRUE(got[i].sameRun(expect[i])) << "point " << i;
+        EXPECT_EQ(stats.jobsRun, expect.size());
+        EXPECT_EQ(stats.abnormalExits, 1u) << "fault plan never arrived";
+        EXPECT_EQ(countCause(stats, dist::WorkerExit::Cause::Exit), 1u);
+        EXPECT_EQ(stats.retries, 1u) << "only the executing unit is charged";
+        EXPECT_GE(stats.reassignedUnits, 1u);
+        EXPECT_FALSE(stats.degraded);
+        EXPECT_TRUE(stats.quarantinedPoints.empty());
+    }
 }
 
 TEST_F(DistTest, CorruptResultFrameIsFatalToTheWorkerNotTheRun)
 {
-    auto expect = runSerial();
+    auto expect = serialReference();
     auto points = gridPoints();
 
-    dist::DistOptions dopts = faultOpts();
+    ExecutionPolicy policy = procPolicy();
     // Spawn 0 wrecks the type byte of its third result frame; the
     // driver must kill the babbling worker and re-run what was lost.
-    dopts.faultSpec = "corrupt-frame=3@worker0";
+    policy.faultSpec = "corrupt-frame=3@worker0";
     dist::DistStats stats;
-    auto got = dist::runSweep(points, dopts, &stats);
+    auto got = dist::runSweep(points, policy, &stats);
 
     ASSERT_EQ(got.size(), expect.size());
     for (size_t i = 0; i < expect.size(); ++i)
@@ -397,16 +372,16 @@ TEST_F(DistTest, CorruptResultFrameIsFatalToTheWorkerNotTheRun)
 
 TEST_F(DistTest, HungWorkerIsKilledAtTheDeadline)
 {
-    auto expect = runSerial();
+    auto expect = serialReference();
     auto points = gridPoints();
 
-    dist::DistOptions dopts = faultOpts();
+    ExecutionPolicy policy = procPolicy();
     // Spawn 0 hangs forever on its first unit; the per-unit deadline
     // must declare it hung, SIGKILL it, and recover.
-    dopts.faultSpec = "stall@worker0";
-    dopts.unitTimeoutMs = 1500;
+    policy.faultSpec = "stall@worker0";
+    policy.unitTimeoutMs = 1500;
     dist::DistStats stats;
-    auto got = dist::runSweep(points, dopts, &stats);
+    auto got = dist::runSweep(points, policy, &stats);
 
     ASSERT_EQ(got.size(), expect.size());
     for (size_t i = 0; i < expect.size(); ++i)
@@ -418,17 +393,17 @@ TEST_F(DistTest, HungWorkerIsKilledAtTheDeadline)
 
 TEST_F(DistTest, PoisonUnitIsQuarantinedAfterMaxAttempts)
 {
-    auto expect = runSerial();
+    auto expect = serialReference();
     auto points = gridPoints();
 
-    dist::DistOptions dopts = faultOpts();
+    ExecutionPolicy policy = procPolicy();
     // Every spawn dies on the unit containing grid point 5: attempt 1
     // kills one worker, attempt 2 hits maxUnitAttempts and the unit is
     // abandoned instead of grinding the fleet down forever.
-    dopts.faultSpec = "kill-on-point=5";
-    dopts.maxUnitAttempts = 2;
+    policy.faultSpec = "kill-on-point=5";
+    policy.maxUnitAttempts = 2;
     dist::DistStats stats;
-    auto got = dist::runSweep(points, dopts, &stats);
+    auto got = dist::runSweep(points, policy, &stats);
 
     ASSERT_EQ(got.size(), expect.size());
     EXPECT_EQ(stats.quarantinedUnits, 1u);
@@ -454,17 +429,17 @@ TEST_F(DistTest, PoisonUnitIsQuarantinedAfterMaxAttempts)
 
 TEST_F(DistTest, FleetCollapseDegradesToInDriverExecution)
 {
-    auto expect = runSerial();
+    auto expect = serialReference();
     auto points = gridPoints();
 
-    dist::DistOptions dopts = faultOpts();
+    ExecutionPolicy policy = procPolicy();
     // Every spawn dies on its first unit and each slot may respawn only
     // once: four deaths and the fleet is gone with the grid untouched.
     // The driver must finish the sweep itself, still bit-identical.
-    dopts.faultSpec = "kill-after-units=0";
-    dopts.maxRespawns = 1;
+    policy.faultSpec = "kill-after-units=0";
+    policy.maxRespawns = 1;
     dist::DistStats stats;
-    auto got = dist::runSweep(points, dopts, &stats);
+    auto got = dist::runSweep(points, policy, &stats);
 
     ASSERT_EQ(got.size(), expect.size());
     for (size_t i = 0; i < expect.size(); ++i)
@@ -480,16 +455,16 @@ TEST_F(DistTest, FleetCollapseDegradesToInDriverExecution)
 
 TEST_F(DistTest, PostRunAbnormalExitIsRecorded)
 {
-    auto expect = runSerial();
+    auto expect = serialReference();
     auto points = gridPoints();
 
-    dist::DistOptions dopts = faultOpts();
+    ExecutionPolicy policy = procPolicy();
     // Workers finish every job and the Done/Stats handshake, then exit
     // 7 instead of 0 -- the run succeeded but the exits must not be
     // reported as clean.
-    dopts.faultSpec = "exit-code=7";
+    policy.faultSpec = "exit-code=7";
     dist::DistStats stats;
-    auto got = dist::runSweep(points, dopts, &stats);
+    auto got = dist::runSweep(points, policy, &stats);
 
     ASSERT_EQ(got.size(), expect.size());
     for (size_t i = 0; i < expect.size(); ++i)
@@ -508,39 +483,54 @@ TEST_F(DistTest, PostRunAbnormalExitIsRecorded)
 
 TEST_F(DistTest, FaultyRunJournalsCompletelyAndResumes)
 {
-    auto expect = runSerial();
+    auto expect = serialReference();
     auto points = gridPoints();
 
-    dist::DistOptions dopts = faultOpts();
-    dopts.journalPath = journalPath();
-    dopts.journalSync = true; // the fdatasync path must survive faults too
-    dopts.faultSpec = "kill-after-units=1@worker0";
-    dist::DistStats first;
-    auto got = dist::runSweep(points, dopts, &first);
-    ASSERT_EQ(got.size(), expect.size());
-    for (size_t i = 0; i < expect.size(); ++i)
-        EXPECT_TRUE(got[i].sameRun(expect[i])) << "point " << i;
-    EXPECT_EQ(first.abnormalExits, 1u);
+    for (bool viaExecutor : {false, true}) {
+        SCOPED_TRACE(viaExecutor ? "ProcessExecutor" : "dist::runSweep");
+        fs::remove(journalPath());
+        ExecutionPolicy policy = procPolicy();
+        policy.journalPath = journalPath();
+        policy.journalSync = true; // the fdatasync path must survive faults
+        policy.faultSpec = "kill-after-units=1@worker0";
+        dist::DistStats first;
+        // Telemetry counts the fdatasync()s, proving the sync request
+        // reached the journal (results are identical either way).
+        telemetry::Registry &reg = telemetry::Registry::instance();
+        telemetry::setEnabled(true);
+        telemetry::MetricsSnapshot before = reg.snapshot();
+        auto got = runDistributed(points, policy, first, viaExecutor);
+        telemetry::MetricsSnapshot synced =
+            telemetry::Registry::delta(before, reg.snapshot());
+        telemetry::setEnabled(false);
+        ASSERT_EQ(got.size(), expect.size());
+        for (size_t i = 0; i < expect.size(); ++i)
+            EXPECT_TRUE(got[i].sameRun(expect[i])) << "point " << i;
+        EXPECT_EQ(first.abnormalExits, 1u);
+        EXPECT_GE(synced.values["dist.journal.syncs"], expect.size())
+            << "journal entries were not synced";
 
-    // The journal a fault-recovered run leaves behind is complete.
-    dopts.faultSpec.clear();
-    dist::DistStats second;
-    auto rerun = dist::runSweep(points, dopts, &second);
-    EXPECT_EQ(second.jobsResumed, expect.size());
-    EXPECT_EQ(second.jobsRun, 0u);
-    EXPECT_EQ(second.workers, 0u);
-    for (size_t i = 0; i < expect.size(); ++i)
-        EXPECT_TRUE(rerun[i].sameRun(expect[i])) << "resumed point " << i;
+        // The journal a fault-recovered run leaves behind is complete.
+        policy.faultSpec.clear();
+        dist::DistStats second;
+        auto rerun = runDistributed(points, policy, second, viaExecutor);
+        EXPECT_EQ(second.jobsResumed, expect.size());
+        EXPECT_EQ(second.jobsRun, 0u);
+        EXPECT_EQ(second.workers, 0u);
+        for (size_t i = 0; i < expect.size(); ++i)
+            EXPECT_TRUE(rerun[i].sameRun(expect[i]))
+                << "resumed point " << i;
+    }
 }
 
 TEST_F(DistTest, MidFileJournalCorruptionSkipsOnlyThatEntry)
 {
-    auto expect = runSerial();
+    auto expect = serialReference();
     auto points = gridPoints();
 
-    dist::DistOptions dopts = faultOpts();
-    dopts.journalPath = journalPath();
-    dist::runSweep(points, dopts);
+    ExecutionPolicy policy = procPolicy();
+    policy.journalPath = journalPath();
+    dist::runSweep(points, policy);
 
     // Flip a byte inside the FIRST entry's payload (16-byte header,
     // 4-byte length prefix): the framing stays intact, so only this one
@@ -556,7 +546,7 @@ TEST_F(DistTest, MidFileJournalCorruptionSkipsOnlyThatEntry)
     }
 
     dist::DistStats stats;
-    auto rerun = dist::runSweep(points, dopts, &stats);
+    auto rerun = dist::runSweep(points, policy, &stats);
     EXPECT_EQ(stats.journalSkipped, 1u);
     EXPECT_EQ(stats.jobsResumed, expect.size() - 1);
     EXPECT_EQ(stats.jobsRun, 1u);

@@ -5,7 +5,7 @@
  * submission order, and repeated trace lookups must hit the repository
  * instead of regenerating.  The batched engine adds its own contract:
  * running N machine configurations through one trace pass
- * (runTraceBatch, or a Sweep with batch on) must be bit-identical to N
+ * (runTraceBatch, or a policy with batch on) must be bit-identical to N
  * independent runTrace() calls, for any batch size and any knob
  * overrides -- and replaying the repository's pre-decoded tier-2 stream
  * must be bit-identical to decoding on the fly.
@@ -16,7 +16,7 @@
 #include <random>
 
 #include "common/logging.hh"
-#include "harness/sweep.hh"
+#include "harness/study.hh"
 #include "kernels/kernel.hh"
 #include "trace/trace_repo.hh"
 
@@ -24,6 +24,28 @@ namespace vmmx
 {
 namespace
 {
+
+/** The (kernel x flavour x width) cross product, in Study order. */
+std::vector<SweepPoint>
+kernelGrid(std::vector<std::string> kernels, std::vector<SimdKind> kinds,
+           std::vector<unsigned> ways)
+{
+    StudySpec spec;
+    spec.kernels = std::move(kernels);
+    spec.kinds = std::move(kinds);
+    spec.ways = std::move(ways);
+    return Study(std::move(spec)).points();
+}
+
+/** Thread-pool policy over @p repo (environment defaults otherwise). */
+ExecutionPolicy
+poolPolicy(TraceRepository &repo, unsigned threads)
+{
+    ExecutionPolicy policy = ExecutionPolicy::fromEnv();
+    policy.repo = &repo;
+    policy.threads = threads;
+    return policy;
+}
 
 class SweepTest : public testing::Test
 {
@@ -115,28 +137,17 @@ TEST_F(SweepTest, DecodedStreamMatchesOnTheFlyDecode)
 TEST_F(SweepTest, ParallelSweepBitIdenticalToSerial)
 {
     // >= 8 (kernel x flavour x width) points with distinct shapes.
-    SweepOptions serialOpts;
-    serialOpts.repo = &repo;
-    serialOpts.threads = 1;
-    SweepOptions poolOpts;
-    poolOpts.repo = &repo;
-    poolOpts.threads = 4;
+    auto points = kernelGrid({"idct", "h2v2"},
+                             {SimdKind::MMX64, SimdKind::VMMX128}, {2, 4});
+    points.push_back({SweepPoint::Workload::Kernel, "motion1",
+                      SimdKind::MMX128, 8});
+    points.push_back({SweepPoint::Workload::App, "gsmenc", SimdKind::VMMX64,
+                      4});
+    ASSERT_GE(points.size(), 8u);
+    ExecutionPolicy pooled = poolPolicy(repo, 4);
 
-    auto build = [](Sweep &s) {
-        s.addKernelGrid({"idct", "h2v2"},
-                        {SimdKind::MMX64, SimdKind::VMMX128}, {2, 4});
-        s.addKernel("motion1", SimdKind::MMX128, 8);
-        s.addApp("gsmenc", SimdKind::VMMX64, 4);
-    };
-
-    Sweep serial(serialOpts);
-    Sweep pooled(poolOpts);
-    build(serial);
-    build(pooled);
-    ASSERT_GE(serial.size(), 8u);
-
-    auto a = serial.runSerial();
-    auto b = pooled.run();
+    auto a = runSerial(points, poolPolicy(repo, 1));
+    auto b = runPoints(points, pooled);
     ASSERT_EQ(a.size(), b.size());
     for (size_t i = 0; i < a.size(); ++i) {
         EXPECT_TRUE(a[i].sameRun(b[i])) << "point " << i << " ("
@@ -145,7 +156,7 @@ TEST_F(SweepTest, ParallelSweepBitIdenticalToSerial)
     }
 
     // Repeated threaded runs stay deterministic.
-    auto c = pooled.run();
+    auto c = runPoints(points, pooled);
     for (size_t i = 0; i < a.size(); ++i)
         EXPECT_TRUE(a[i].sameRun(c[i])) << "point " << i;
 }
@@ -153,16 +164,13 @@ TEST_F(SweepTest, ParallelSweepBitIdenticalToSerial)
 TEST_F(SweepTest, SweepSharesDecodedStreamsAcrossPoints)
 {
     TraceRepository unbounded(nullptr, 0, 0);
-    SweepOptions opts;
-    opts.repo = &unbounded;
-    opts.threads = 4;
-    opts.batch = false; // per-point jobs: each point looks its trace up
-    opts.decoded = true;
-    Sweep sweep(opts);
+    ExecutionPolicy policy = poolPolicy(unbounded, 4);
+    policy.batch = false; // per-point jobs: each point looks its trace up
+    policy.decoded = true;
     // 3 widths x 2 flavours of one kernel: 6 points, 2 distinct traces.
-    sweep.addKernelGrid({"rgb"}, {SimdKind::MMX64, SimdKind::VMMX128},
-                        {2, 4, 8});
-    auto results = sweep.run();
+    auto points =
+        kernelGrid({"rgb"}, {SimdKind::MMX64, SimdKind::VMMX128}, {2, 4, 8});
+    auto results = runPoints(points, policy);
     EXPECT_EQ(results.size(), 6u);
     // Each trace was generated and decoded exactly once; the other four
     // per-point lookups were decoded-tier hits.
@@ -177,12 +185,9 @@ TEST_F(SweepTest, SweepSharesDecodedStreamsAcrossPoints)
     // Batched: the whole group resolves its stream once, so the second
     // sweep adds one decoded hit per distinct trace -- and identical
     // results, with still no regeneration or re-decode.
-    SweepOptions batched = opts;
+    ExecutionPolicy batched = policy;
     batched.batch = true;
-    Sweep grouped(batched);
-    grouped.addKernelGrid({"rgb"}, {SimdKind::MMX64, SimdKind::VMMX128},
-                          {2, 4, 8});
-    auto batchedResults = grouped.run();
+    auto batchedResults = runPoints(points, batched);
     EXPECT_EQ(unbounded.generations(), 2u);
     EXPECT_EQ(unbounded.decodes(), 2u);
     EXPECT_EQ(unbounded.decodedStats().hits, 6u);
@@ -192,24 +197,15 @@ TEST_F(SweepTest, SweepSharesDecodedStreamsAcrossPoints)
 
 TEST_F(SweepTest, DecodedTierOffMatchesDecodedTierOn)
 {
-    SweepOptions on;
-    on.repo = &repo;
-    on.threads = 2;
+    ExecutionPolicy on = poolPolicy(repo, 2);
     on.decoded = true;
-    SweepOptions off = on;
+    ExecutionPolicy off = on;
     off.decoded = false;
 
-    auto build = [](Sweep &s) {
-        s.addKernelGrid({"ltpfilt", "comp"},
-                        {SimdKind::VMMX64, SimdKind::MMX128}, {2, 8});
-    };
-    Sweep withTier(on);
-    Sweep without(off);
-    build(withTier);
-    build(without);
-
-    auto a = withTier.run();
-    auto b = without.run();
+    auto points = kernelGrid({"ltpfilt", "comp"},
+                             {SimdKind::VMMX64, SimdKind::MMX128}, {2, 8});
+    auto a = runPoints(points, on);
+    auto b = runPoints(points, off);
     ASSERT_EQ(a.size(), b.size());
     for (size_t i = 0; i < a.size(); ++i)
         EXPECT_TRUE(a[i].sameRun(b[i]))
@@ -225,12 +221,14 @@ TEST_F(SweepTest, LabelIncludesAblationOverrides)
     robLarge.set("core.robEntries", s64(128));
     robLarge.set("mem.l2Latency", s64(9));
 
-    Sweep sweep;
-    sweep.addKernel("idct", SimdKind::VMMX128, 4, robSmall);
-    sweep.addKernel("idct", SimdKind::VMMX128, 4, robLarge);
-    sweep.addKernel("idct", SimdKind::VMMX128, 4);
+    const std::vector<SweepPoint> pts = {
+        {SweepPoint::Workload::Kernel, "idct", SimdKind::VMMX128, 4,
+         robSmall},
+        {SweepPoint::Workload::Kernel, "idct", SimdKind::VMMX128, 4,
+         robLarge},
+        {SweepPoint::Workload::Kernel, "idct", SimdKind::VMMX128, 4},
+    };
 
-    const auto &pts = sweep.points();
     EXPECT_NE(pts[0].label(), pts[1].label());
     EXPECT_NE(pts[0].label(), pts[2].label());
     EXPECT_EQ(pts[2].label(), "idct/vmmx128/4-way");
@@ -244,7 +242,11 @@ TEST_F(SweepTest, LabelIncludesAblationOverrides)
 TEST_F(SweepTest, ExplicitTracePointsRun)
 {
     auto trace = repo.kernel("addblock", SimdKind::MMX64);
-    auto results = sweepTrace(trace.shared(), SimdKind::MMX64, {2, 4, 8});
+    std::vector<SweepPoint> points;
+    for (unsigned way : {2u, 4u, 8u})
+        points.push_back({SweepPoint::Workload::Trace, "trace",
+                          SimdKind::MMX64, way, {}, trace.shared()});
+    auto results = runPoints(points, poolPolicy(repo, 0));
     ASSERT_EQ(results.size(), 3u);
     // Wider machines are not slower on the same trace.
     EXPECT_GE(results[0].cycles(), results[1].cycles());
@@ -253,12 +255,9 @@ TEST_F(SweepTest, ExplicitTracePointsRun)
 
 TEST_F(SweepTest, ResultsMatchDirectRunTrace)
 {
-    SweepOptions opts;
-    opts.repo = &repo;
-    opts.threads = 2;
-    Sweep sweep(opts);
-    sweep.addKernel("ltpfilt", SimdKind::VMMX128, 4);
-    auto results = sweep.run();
+    auto results = runPoints(
+        {{SweepPoint::Workload::Kernel, "ltpfilt", SimdKind::VMMX128, 4}},
+        poolPolicy(repo, 2));
     ASSERT_EQ(results.size(), 1u);
 
     auto trace = repo.kernel("ltpfilt", SimdKind::VMMX128);
@@ -332,33 +331,23 @@ TEST_F(SweepTest, RunTraceBatchMatchesPerConfigRunTrace)
 // pool must stay bit-identical to the per-point serial reference.
 TEST_F(SweepTest, BatchedSweepBitIdenticalToSerial)
 {
-    SweepOptions serialOpts;
-    serialOpts.repo = &repo;
-    serialOpts.threads = 1;
-    SweepOptions batchedOpts;
-    batchedOpts.repo = &repo;
-    batchedOpts.threads = 4;
-    batchedOpts.batch = true;
+    // One trace replayed on 6 knob variants: a group wider than the
+    // 4-thread pool; plus ordinary (flavour x width) groups.
+    std::vector<SweepPoint> points;
+    for (s64 rob : {16, 24, 32, 48, 64, 128}) {
+        Config knobs;
+        knobs.set("core.rob", rob);
+        points.push_back({SweepPoint::Workload::Kernel, "h2v2",
+                          SimdKind::VMMX64, 4, knobs});
+    }
+    for (const SweepPoint &p : kernelGrid(
+             {"motion1"}, {SimdKind::MMX64, SimdKind::MMX128}, {2, 4, 8}))
+        points.push_back(p);
+    ExecutionPolicy batched = poolPolicy(repo, 4);
+    batched.batch = true;
 
-    auto build = [](Sweep &s) {
-        // One trace replayed on 6 knob variants: a group wider than the
-        // 4-thread pool; plus ordinary (flavour x width) groups.
-        for (s64 rob : {16, 24, 32, 48, 64, 128}) {
-            Config knobs;
-            knobs.set("core.rob", rob);
-            s.addKernel("h2v2", SimdKind::VMMX64, 4, knobs);
-        }
-        s.addKernelGrid({"motion1"}, {SimdKind::MMX64, SimdKind::MMX128},
-                        {2, 4, 8});
-    };
-
-    Sweep serial(serialOpts);
-    Sweep batched(batchedOpts);
-    build(serial);
-    build(batched);
-
-    auto expect = serial.runSerial();
-    auto got = batched.run();
+    auto expect = runSerial(points, poolPolicy(repo, 1));
+    auto got = runPoints(points, batched);
     ASSERT_EQ(got.size(), expect.size());
     for (size_t i = 0; i < expect.size(); ++i) {
         EXPECT_TRUE(got[i].sameRun(expect[i]))
@@ -367,7 +356,7 @@ TEST_F(SweepTest, BatchedSweepBitIdenticalToSerial)
     }
 
     // The grouping itself: 6 knob variants of one trace form one group.
-    auto groups = groupPointsByTrace(batched.points());
+    auto groups = groupPointsByTrace(points);
     ASSERT_EQ(groups.size(), 3u);
     EXPECT_EQ(groups[0].size(), 6u);
     EXPECT_EQ(groups[1].size(), 3u);

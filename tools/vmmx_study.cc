@@ -13,15 +13,19 @@
  *   vmmx_study --backend processes --processes 4 specs/fig5.study
  *   vmmx_study --report-only specs/fig5.study   # tables only (CI diffs)
  *
- * --check reruns the grid through the SerialExecutor and exits nonzero
- * unless every point is bit-identical -- the backend-equivalence
- * guarantee of harness/executor.hh, asserted here on real specs.
+ * --check reruns the grid through the runSerial() oracle on a private
+ * trace repository and exits 1 unless every point is bit-identical --
+ * the backend-equivalence guarantee of harness/executor.hh, asserted
+ * here on real specs.  A processes-backend run whose units were
+ * quarantined (they kept killing workers) prints a FAILED line and
+ * exits 3: its rows for those points are unexecuted zeros.
  */
 
 #include <chrono>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <ostream>
 #include <string>
 
 #include <unistd.h>
@@ -53,6 +57,34 @@ selfPath(const char *argv0)
     return argv0; // non-procfs fallback; must then be an absolute path
 }
 
+/**
+ * The processes backend's scheduler summary, per-worker repository
+ * tiers and every spawn's fate.  Each line starts with "dist" so diffs
+ * of two runs can filter them: they legitimately differ run to run.
+ */
+void
+printDistReport(std::ostream &os, const dist::DistStats &stats,
+                const ExecutionPolicy &exec)
+{
+    auto budgetStr = [](u64 b) {
+        return b ? std::to_string(b) + " B" : std::string("unlimited");
+    };
+    os << '\n' << stats.summary() << '\n';
+    os << "dist-budgets: raw " << budgetStr(exec.rawBudget) << ", decoded "
+       << budgetStr(exec.decodedBudget) << " per worker\n";
+    for (size_t wi = 0; wi < stats.perWorker.size(); ++wi) {
+        const auto &w = stats.perWorker[wi];
+        os << "dist-worker " << wi << ": " << w.generations
+           << " generations, " << w.hits << " raw hits, " << w.diskLoads
+           << " disk loads, " << w.decodes << " decodes, " << w.decodedHits
+           << " decoded hits, " << w.bytesResident / 1024 << " KiB raw + "
+           << w.decodedBytes / 1024 << " KiB decoded resident\n";
+    }
+    for (const auto &e : stats.exitCauses)
+        os << "dist-exit: slot " << e.slot << " spawn " << e.spawnId << " "
+           << dist::name(e.cause) << " (" << e.detail << ")\n";
+}
+
 [[noreturn]] void
 usage(int rc)
 {
@@ -75,8 +107,9 @@ usage(int rc)
         "  --report-only   print only the report tables (no title or\n"
         "                  timing lines; what CI diffs against benches)\n"
         "  --dump-spec     print the canonical spec text and exit\n"
-        "  --check         also run the serial reference executor and\n"
-        "                  exit nonzero unless bit-identical\n"
+        "  --check         also run the serial oracle (runSerial on a\n"
+        "                  private trace repository) and exit 1\n"
+        "                  unless bit-identical\n"
         "  --verbose       keep warn()/inform() output\n"
         "  --metrics-json FILE  write the run's metrics registry (repo\n"
         "                  tiers, dist counters, per-unit timing) as JSON\n"
@@ -269,6 +302,9 @@ main(int argc, char **argv)
 
     study.writeReport(std::cout, results);
 
+    if (processesBackend && !reportOnly)
+        printDistReport(std::cout, *spec.exec.distStats, spec.exec);
+
     if (!reportOnly) {
         std::cout << "\nstudy: " << results.size() << " points in "
                   << TextTable::num(seconds) << " s ("
@@ -305,10 +341,24 @@ main(int argc, char **argv)
     if (progressFile)
         std::fclose(progressFile);
 
+    // Quarantined points never executed; their report rows are default
+    // zeros.  That must not read as success.  (Exports above are still
+    // written: a failed run's telemetry is the interesting kind.)
+    if (processesBackend && !spec.exec.distStats->quarantinedPoints.empty()) {
+        std::cout << "vmmx_study: FAILED -- "
+                  << spec.exec.distStats->quarantinedPoints.size()
+                  << " grid points quarantined (their units kept killing "
+                     "workers)\n";
+        return 3;
+    }
+
     if (check) {
-        ExecutionPolicy serial = spec.exec;
-        serial.backend = ExecutionPolicy::Backend::Serial;
-        auto expect = runPoints(points, serial);
+        // The decode-on-the-fly oracle on a repository of its own, so
+        // nothing the run under test cached or loaded can leak in.
+        TraceRepository oracleRepo;
+        ExecutionPolicy oracle = spec.exec;
+        oracle.repo = &oracleRepo;
+        auto expect = runSerial(points, oracle);
         size_t mismatches = 0;
         for (size_t i = 0; i < expect.size(); ++i) {
             if (!results[i].sameRun(expect[i])) {
@@ -317,7 +367,7 @@ main(int argc, char **argv)
                 ++mismatches;
             }
         }
-        std::cout << "check vs serial executor: "
+        std::cout << "check vs serial oracle: "
                   << (mismatches ? "FAIL" : "bit-identical") << '\n';
         if (mismatches)
             return 1;
