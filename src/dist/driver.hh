@@ -64,7 +64,7 @@ struct WorkerTierStats
 {
     u64 generations = 0;   ///< traces built from scratch
     u64 hits = 0;          ///< raw-tier RAM hits
-    u64 diskLoads = 0;     ///< tier-1 fills from the disk tier
+    u64 diskLoads = 0;     ///< traces read from the disk tier
     u64 decodes = 0;       ///< decoded-tier fills
     u64 decodedHits = 0;   ///< decoded-tier RAM hits
     u64 bytesResident = 0; ///< raw bytes resident at exit

@@ -94,7 +94,7 @@ struct StatsMsg
 {
     u64 generations = 0;   ///< traces built from scratch (tier-1 fills)
     u64 hits = 0;          ///< raw-tier lookups served from RAM
-    u64 diskLoads = 0;     ///< tier-1 fills served by the disk tier
+    u64 diskLoads = 0;     ///< traces read from the disk tier
     u64 storeSaves = 0;    ///< traces newly persisted to the store
     u64 bytesResident = 0; ///< raw-tier bytes resident at exit
     u64 decodes = 0;       ///< decoded-tier fills (full-trace decodes)

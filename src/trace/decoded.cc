@@ -14,9 +14,6 @@ regClassIdx(RegClass c)
     return static_cast<size_t>(c);
 }
 
-/** Logical register table sizes, fixed per class. */
-constexpr size_t logicalTableSize[numRegClasses] = {64, 64, 64, 8};
-
 /** Offsets of each class inside the flat ready table. */
 constexpr size_t readyOffset[numRegClasses] = {0, 64, 128, 192};
 

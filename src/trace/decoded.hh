@@ -12,8 +12,11 @@
  *
  * The stream lives in the trace layer, not the sim layer, because it is
  * a property of the trace alone: the TraceRepository caches decoded
- * streams as its tier 2, right next to the raw InstRecord tier they are
- * derived from (a decoded stream is ~1.3x the raw bytes).
+ * streams as its tier 2.  A stream is built either from a resident raw
+ * InstRecord vector (decodeStream) or straight from store bytes, one
+ * record at a time (decodeTrace into a DecodedStream), so a warm store
+ * fills tier 2 without ever holding the raw trace (a decoded stream is
+ * ~1.3x the raw bytes).
  */
 
 #ifndef VMMX_TRACE_DECODED_HH
@@ -69,7 +72,13 @@ struct DecodedInst
     u8 srcReg[3] = {}; ///< source slots in the flat ready table
 
     bool has(u8 flag) const { return flags & flag; }
+    bool operator==(const DecodedInst &) const = default;
 };
+
+/** Logical register table size per RegClass (Int, Fp, Simd, Acc):
+ *  decodeInst() requires every register index below its class's size,
+ *  and decodeTrace() rejects records that break it. */
+constexpr size_t logicalTableSize[numRegClasses] = {64, 64, 64, 8};
 
 /** Flat per-logical-register ready-table size the decoded slot numbers
  *  index into: all classes side by side (64 Int | 64 Fp | 64 Simd |

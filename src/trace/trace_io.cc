@@ -2,6 +2,8 @@
 
 #include <sstream>
 
+#include "trace/decoded.hh"
+
 namespace vmmx
 {
 
@@ -143,8 +145,15 @@ encodeTrace(const std::vector<InstRecord> &trace, wire::Writer &w)
     }
 }
 
+namespace
+{
+
+/** The one record loop: every decoded record goes to @p out through
+ *  @p convert (a copy for raw records, decodeInst() for the decoded
+ *  tier). */
+template <typename T, typename Convert>
 bool
-decodeTrace(wire::Reader &r, std::vector<InstRecord> &out)
+decodeRecords(wire::Reader &r, std::vector<T> &out, Convert convert)
 {
     u64 count = r.varint();
     if (!r.ok())
@@ -169,9 +178,13 @@ decodeTrace(wire::Reader &r, std::vector<InstRecord> &out)
         if (!unpackCls(r.byte(), i.dst.cls, i.src0.cls) ||
             !unpackCls(r.byte(), i.src1.cls, i.src2.cls))
             return false;
-        for (RegId *reg : {&i.dst, &i.src0, &i.src1, &i.src2})
-            if (reg->valid())
-                reg->idx = r.byte();
+        for (RegId *reg : {&i.dst, &i.src0, &i.src1, &i.src2}) {
+            if (!reg->valid())
+                continue;
+            reg->idx = r.byte();
+            if (reg->idx >= logicalTableSize[static_cast<size_t>(reg->cls)])
+                return false;
+        }
         // Delta applications happen in u64 arithmetic: a hostile or
         // corrupt delta plus the running value must wrap (and then fail
         // validation downstream), never overflow a signed add.
@@ -193,9 +206,24 @@ decodeTrace(wire::Reader &r, std::vector<InstRecord> &out)
             i.vl = u16(r.varint());
         if (!r.ok())
             return false;
-        out.push_back(i);
+        out.push_back(convert(i));
     }
     return true;
+}
+
+} // namespace
+
+bool
+decodeTrace(wire::Reader &r, std::vector<InstRecord> &out)
+{
+    return decodeRecords(r, out, [](const InstRecord &i) { return i; });
+}
+
+bool
+decodeTrace(wire::Reader &r, DecodedStream &out)
+{
+    return decodeRecords(r, out.insts,
+                         [](const InstRecord &i) { return decodeInst(i); });
 }
 
 void

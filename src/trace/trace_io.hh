@@ -32,6 +32,8 @@
 namespace vmmx
 {
 
+struct DecodedStream;
+
 /** Immutable, shareable dynamic instruction trace. */
 using SharedTrace = std::shared_ptr<const std::vector<InstRecord>>;
 
@@ -63,10 +65,16 @@ struct TraceKey
 void encodeTrace(const std::vector<InstRecord> &trace, wire::Writer &w);
 
 /**
- * Decode a trace previously written by encodeTrace().
+ * Decode a trace previously written by encodeTrace().  A record whose
+ * register index lies outside its class's logical table is malformed
+ * too, so hostile bytes fail here instead of in decodeInst().
  * @return false (leaving @p out unspecified) on a malformed stream.
  */
 bool decodeTrace(wire::Reader &r, std::vector<InstRecord> &out);
+
+/** Same stream, each record handed to decodeInst() as it is read: the
+ *  decoded tier fills without building an InstRecord vector. */
+bool decodeTrace(wire::Reader &r, DecodedStream &out);
 
 void serialize(wire::Writer &w, const TraceKey &key);
 bool deserialize(wire::Reader &r, TraceKey &key);

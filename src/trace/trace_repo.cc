@@ -234,16 +234,18 @@ TraceRepository::materializeRaw(Entry &e)
                                              ? e.key.name
                                              : std::string());
         if (SharedTrace t = store_->load(e.key)) {
-            e.raw = std::move(t);
-            e.rawBytes = e.raw->size() * sizeof(InstRecord);
             e.onDisk = true;
-            e.rawResident = true;
-            bytesRaw_ += e.rawBytes;
             ++diskLoads_;
-            return e.raw;
+            return installRaw(e, std::move(t));
         }
     }
+    return generateRaw(e);
+}
 
+SharedTrace
+TraceRepository::generateRaw(Entry &e)
+{
+    vmmx_assert(e.keyed, "only keyed entries own a raw tier");
     std::vector<InstRecord> trace;
     {
         TELEMETRY_SPAN("trace.generate", telemetry::enabled()
@@ -267,14 +269,46 @@ TraceRepository::materializeRaw(Entry &e)
         }
     }
 
-    e.raw = std::make_shared<const std::vector<InstRecord>>(std::move(trace));
+    ++generations_;
+    installRaw(e, std::make_shared<const std::vector<InstRecord>>(
+                      std::move(trace)));
+    if (store_) {
+        TELEMETRY_SPAN("trace.storeSave", telemetry::enabled()
+                                              ? e.key.name
+                                              : std::string());
+        if (store_->save(e.key, *e.raw))
+            e.onDisk = true;
+    }
+    return e.raw;
+}
+
+SharedTrace
+TraceRepository::installRaw(Entry &e, SharedTrace t)
+{
+    e.raw = std::move(t);
     e.rawBytes = e.raw->size() * sizeof(InstRecord);
     e.rawResident = true;
     bytesRaw_ += e.rawBytes;
-    ++generations_;
-    if (store_ && store_->save(e.key, *e.raw))
-        e.onDisk = true;
+    ++rawFills_;
     return e.raw;
+}
+
+void
+TraceRepository::releaseRaw(Entry &e)
+{
+    e.raw.reset();
+    e.rawResident = false;
+    bytesRaw_ -= e.rawBytes;
+}
+
+void
+TraceRepository::installDecoded(Entry &e, SharedDecoded d)
+{
+    e.decoded = std::move(d);
+    e.decodedBytes = e.decoded->bytes();
+    e.decodedResident = true;
+    bytesDecoded_ += e.decodedBytes;
+    ++decodes_;
 }
 
 TraceRepository::TraceHandle
@@ -315,29 +349,47 @@ TraceRepository::decoded(const TraceKey &key)
     std::lock_guard<std::mutex> build(entry->build);
     if (entry->decoded) {
         ++decodedHits_;
+    } else if (!entry->raw && store_ && streamFromDisk(*entry)) {
+        // Filled straight from the store; tier 1 was never involved.
     } else {
-        // Fill from tier 1 (itself filling from disk or generation);
-        // the raw copy stays resident for later raw() lookups and is
-        // reclaimed by its own budget, not by this one.
-        SharedTrace src = entry->raw;
-        if (!src)
-            src = materializeRaw(*entry);
-        TELEMETRY_SPAN("trace.decode", telemetry::enabled()
-                                           ? key.name
-                                           : std::string());
-        entry->decoded =
-            std::make_shared<const DecodedStream>(decodeStream(*src));
-        entry->decodedBytes = entry->decoded->bytes();
-        entry->decodedResident = true;
-        bytesDecoded_ += entry->decodedBytes;
-        ++decodes_;
-        // The raw tier was touched by the fill even on a decoded miss.
-        entry->lastUseRaw = ++useClock_;
+        // Decode the resident raw copy, or generate (and save) one.  A
+        // generated copy that reached the disk is transient: tier 2
+        // re-materializes from the store, so keeping it would only hold
+        // the trace in RAM twice.  (With a store attached the disk load
+        // was just tried, so a missing raw copy means generating.)
+        const bool fresh = !entry->raw;
+        SharedTrace src = fresh ? generateRaw(*entry) : entry->raw;
+        {
+            TELEMETRY_SPAN("trace.decode", telemetry::enabled()
+                                               ? key.name
+                                               : std::string());
+            installDecoded(*entry, std::make_shared<const DecodedStream>(
+                                       decodeStream(*src)));
+        }
+        if (fresh && entry->onDisk.load() && entry->rawPins.load() == 0)
+            releaseRaw(*entry);
+        else
+            entry->lastUseRaw = ++useClock_;
     }
     SharedDecoded s = entry->decoded;
     entry->decodedPins.fetch_add(1, std::memory_order_relaxed);
     touchDecodedAndEnforce(entry.get());
     return DecodedHandle(std::move(s), std::move(entry));
+}
+
+bool
+TraceRepository::streamFromDisk(Entry &e)
+{
+    TELEMETRY_SPAN("trace.diskLoad", telemetry::enabled()
+                                         ? e.key.name
+                                         : std::string());
+    SharedDecoded d = store_->loadDecoded(e.key);
+    if (!d)
+        return false;
+    e.onDisk = true;
+    ++diskLoads_;
+    installDecoded(e, std::move(d));
+    return true;
 }
 
 TraceRepository::DecodedHandle
@@ -350,12 +402,8 @@ TraceRepository::decoded(const SharedTrace &trace)
         ++decodedHits_;
     } else {
         TELEMETRY_SPAN("trace.decode");
-        entry->decoded =
-            std::make_shared<const DecodedStream>(decodeStream(*trace));
-        entry->decodedBytes = entry->decoded->bytes();
-        entry->decodedResident = true;
-        bytesDecoded_ += entry->decodedBytes;
-        ++decodes_;
+        installDecoded(*entry, std::make_shared<const DecodedStream>(
+                                   decodeStream(*trace)));
     }
     SharedDecoded s = entry->decoded;
     entry->decodedPins.fetch_add(1, std::memory_order_relaxed);
@@ -402,8 +450,8 @@ TraceRepository::enforceBudgets(Entry *keep)
         // tier) pair with the oldest use stamp among tiers over their
         // budget.  A tier copy is evictable when it is resident,
         // unpinned, safe to drop (raw: mirrored on disk; decoded:
-        // always, it re-materializes from tier 1), and not part of the
-        // entry being returned right now.
+        // always, it re-materializes from disk or tier 1), and not part
+        // of the entry being returned right now.
         Entry *victim = nullptr;
         bool victimDecoded = false;
         u64 oldest = ~0ull;
@@ -456,9 +504,7 @@ TraceRepository::enforceBudgets(Entry *keep)
             }
         } else {
             if (victim->rawResident.load() && victim->rawPins.load() == 0) {
-                victim->raw.reset();
-                victim->rawResident = false;
-                bytesRaw_ -= victim->rawBytes;
+                releaseRaw(*victim);
                 ++rawEvictions_;
             }
         }
@@ -471,8 +517,8 @@ TraceRepository::enforceBudgets(Entry *keep)
 TraceRepository::TierStats
 TraceRepository::rawStats() const
 {
-    return {rawHits_.load(), generations_.load() + diskLoads_.load(),
-            rawEvictions_.load(), bytesRaw_.load()};
+    return {rawHits_.load(), rawFills_.load(), rawEvictions_.load(),
+            bytesRaw_.load()};
 }
 
 TraceRepository::TierStats
@@ -524,11 +570,12 @@ TraceRepository::summary() const
     os << '\n';
     os << "  tier1 raw    : " << mib(rawT.bytes) << " MiB resident (budget "
        << budgetStr(rawBudget()) << "), " << rawT.hits << " hits, "
-       << rawT.fills << " fills (" << generations() << " generated, "
-       << diskLoads() << " from disk), " << rawT.evictions << " evictions\n";
+       << rawT.fills << " fills, " << rawT.evictions << " evictions\n";
     os << "  tier2 decoded: " << mib(decT.bytes) << " MiB resident (budget "
        << budgetStr(decodedBudget()) << "), " << decT.hits << " hits, "
-       << decT.fills << " decodes, " << decT.evictions << " evictions";
+       << decT.fills << " decodes, " << decT.evictions << " evictions\n";
+    os << "  sources      : " << generations() << " generated, "
+       << diskLoads() << " loaded from disk";
     return os.str();
 }
 
@@ -564,6 +611,7 @@ TraceRepository::clear()
     bytesDecoded_ = 0;
     generations_ = 0;
     diskLoads_ = 0;
+    rawFills_ = 0;
     decodes_ = 0;
     rawHits_ = 0;
     decodedHits_ = 0;

@@ -12,10 +12,21 @@
  *
  * Trace generation is execution driven and deterministic in the
  * TraceKey, so every tier is content addressed by construction: a key
- * maps to exactly one raw trace and exactly one decoded stream, and a
- * miss in one tier fills from the tier below (decoded <- raw <- disk <-
- * generate).  Explicitly supplied traces (custom programs, tests) join
- * tier 2 keyed by object identity, so their decode is amortized too.
+ * maps to exactly one raw trace and exactly one decoded stream.  The
+ * fill chains are
+ *
+ *   decoded <- disk | raw        raw <- disk | generate
+ *
+ * A decoded miss decodes the resident raw copy if there is one;
+ * otherwise it streams the store file straight into a DecodedStream,
+ * record by record, without building an InstRecord vector; only on a
+ * store miss does it generate (and save) the trace and decode that.
+ * So with a store attached, tier 1 is transient for decoded lookups: a
+ * generated raw copy that reached the disk is dropped right after its
+ * decode, and a warm store never fills tier 1 at all.  raw() lookups
+ * still fill and keep tier 1.  Without a store, the raw copy stays.
+ * Explicitly supplied traces (custom programs, tests) join tier 2
+ * keyed by object identity, so their decode is amortized too.
  *
  * Tiers 1 and 2 share one LRU clock and one eviction pass: each tier
  * has its own byte budget (VMMX_TRACE_CACHE_BUDGET for raw,
@@ -24,15 +35,16 @@
  * *evictable* entry of that tier drops its bytes.  Raw copies are
  * evictable only when mirrored on disk (without a store the raw budget
  * is accounting-only); decoded streams are always evictable because
- * they re-materialize from tier 1.  Outstanding RAII pin handles
- * (TraceHandle, DecodedHandle) make an entry's tier ineligible, so
- * borrowed traces and decoded streams can never be dropped under a
- * consumer -- eviction only ever affects when memory is reclaimed.
+ * they re-materialize from disk or tier 1.  Outstanding RAII pin
+ * handles (TraceHandle, DecodedHandle) make an entry's tier
+ * ineligible, so borrowed traces and decoded streams can never be
+ * dropped under a consumer -- eviction only ever affects when memory
+ * is reclaimed.
  *
- * Thread model (inherited from the PR-1 cache): lookups take a short
- * registry lock to find or create the entry, then build under the
- * entry's own mutex so different keys materialize in parallel while
- * concurrent requests for the same key block on the first builder.
+ * Thread model: lookups take a short registry lock to find or create
+ * the entry, then build under the entry's own mutex so different keys
+ * materialize in parallel while concurrent requests for the same key
+ * block on the first builder.
  * Eviction acquires entry mutexes only via try_lock while holding the
  * registry lock, which lookups never hold while acquiring an entry
  * mutex, so the two lock orders cannot deadlock.  Pins are taken under
@@ -191,7 +203,8 @@ class TraceRepository
     TraceHandle raw(const TraceKey &key);
 
     // ---- tier-2 lookups (decoded streams) ----------------------------
-    /** Decoded stream for @p key; fills through raw/disk/generate. */
+    /** Decoded stream for @p key; fills from resident raw, else disk,
+     *  else generation (see the file comment). */
     DecodedHandle decoded(const TraceKey &key);
     /** Decoded stream for an explicitly supplied trace, keyed by object
      *  identity (amortizes decode across groups replaying @p trace). */
@@ -210,14 +223,15 @@ class TraceRepository
     TierStats decodedStats() const;
     /** Traces actually generated (tier-1 fills from scratch). */
     u64 generations() const { return generations_.load(); }
-    /** Tier-1 fills served by decoding the on-disk store. */
+    /** Traces read from the on-disk store: tier-1 fills plus tier-2
+     *  fills streamed straight from disk. */
     u64 diskLoads() const { return diskLoads_.load(); }
-    /** Tier-2 fills (full-trace decodes). */
+    /** Tier-2 fills (full-trace decodes, streamed ones included). */
     u64 decodes() const { return decodes_.load(); }
     /** Number of distinct traces currently known across all tiers. */
     size_t size() const;
 
-    /** Human summary of all three tiers, one line per tier. */
+    /** Human summary: one line per tier, then where traces came from. */
     std::string summary() const;
 
     /** Publish the per-tier counters as "repo.*" gauges in the
@@ -234,8 +248,17 @@ class TraceRepository
   private:
     std::shared_ptr<Entry> entryFor(const TraceKey &key);
     std::shared_ptr<Entry> entryFor(const SharedTrace &trace);
-    /** Fill tier 1 of @p e (store, else generate); build mutex held. */
+    // Fill helpers; all run with @p e's build mutex held.
+    /** Fill tier 1 of @p e (store, else generate). */
     SharedTrace materializeRaw(Entry &e);
+    /** Generate @p e's trace into tier 1 and save it to the store. */
+    SharedTrace generateRaw(Entry &e);
+    /** Fill tier 2 of @p e straight from the store. @return false on a
+     *  store miss. */
+    bool streamFromDisk(Entry &e);
+    SharedTrace installRaw(Entry &e, SharedTrace t);
+    void releaseRaw(Entry &e);
+    void installDecoded(Entry &e, SharedDecoded d);
     /** Stamp @p e's tier-1 (or tier-2) LRU clock and evict whatever the
      *  budgets no longer cover, never touching @p keep. */
     void touchRawAndEnforce(Entry *keep);
@@ -257,6 +280,7 @@ class TraceRepository
     std::atomic<u64> bytesDecoded_{0};
     std::atomic<u64> generations_{0};
     std::atomic<u64> diskLoads_{0};
+    std::atomic<u64> rawFills_{0};
     std::atomic<u64> decodes_{0};
     std::atomic<u64> rawHits_{0};
     std::atomic<u64> decodedHits_{0};

@@ -64,24 +64,32 @@ TraceStore::path(const TraceKey &key) const
     return (fs::path(dir_) / name.str()).string();
 }
 
-SharedTrace
-TraceStore::load(const TraceKey &key)
+template <typename Out>
+bool
+TraceStore::loadInto(const TraceKey &key, Out &out)
 {
     const std::string file = path(key);
-    std::ifstream in(file, std::ios::binary);
+    std::ifstream in(file, std::ios::binary | std::ios::ate);
     if (!in) {
         ++misses_;
-        return nullptr;
+        return false;
     }
-    std::vector<u8> bytes((std::istreambuf_iterator<char>(in)),
-                          std::istreambuf_iterator<char>());
+    // One sized read of the whole file.
+    const std::streamoff size = in.tellg();
+    std::vector<u8> bytes(size > 0 ? size_t(size) : 0);
+    if (size < 0 || !in.seekg(0) ||
+        !in.read(reinterpret_cast<char *>(bytes.data()), size)) {
+        warn("trace store: cannot read '%s'; regenerating", file.c_str());
+        ++misses_;
+        return false;
+    }
     in.close();
 
     // Checksum covers everything before the trailing fixed64.
     if (bytes.size() < 8 + 8) {
         warn("trace store: '%s' is truncated; regenerating", file.c_str());
         ++misses_;
-        return nullptr;
+        return false;
     }
     wire::Reader tail(bytes.data() + bytes.size() - 8, 8);
     u64 want = tail.fixed64();
@@ -90,22 +98,39 @@ TraceStore::load(const TraceKey &key)
         warn("trace store: checksum mismatch in '%s'; regenerating",
              file.c_str());
         ++misses_;
-        return nullptr;
+        return false;
     }
 
     wire::Reader r(bytes.data(), bytes.size() - 8);
     TraceKey stored;
-    auto trace = std::make_shared<std::vector<InstRecord>>();
     if (r.fixed32() != storeMagic || r.fixed32() != storeVersion ||
         !deserialize(r, stored) || !(stored == key) ||
-        !decodeTrace(r, *trace) || !r.atEnd()) {
+        !decodeTrace(r, out) || !r.atEnd()) {
         warn("trace store: '%s' is not a valid trace for %s; regenerating",
              file.c_str(), key.describe().c_str());
         ++misses_;
-        return nullptr;
+        return false;
     }
     ++loads_;
+    return true;
+}
+
+SharedTrace
+TraceStore::load(const TraceKey &key)
+{
+    auto trace = std::make_shared<std::vector<InstRecord>>();
+    if (!loadInto(key, *trace))
+        return nullptr;
     return trace;
+}
+
+SharedDecoded
+TraceStore::loadDecoded(const TraceKey &key)
+{
+    auto stream = std::make_shared<DecodedStream>();
+    if (!loadInto(key, *stream))
+        return nullptr;
+    return stream;
 }
 
 bool

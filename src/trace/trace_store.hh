@@ -13,7 +13,9 @@
  * same key -- two workers racing to generate the same trace -- are
  * harmless: both produce identical bytes and the second rename wins.
  * Any validation failure on load (bad magic/version, key mismatch,
- * checksum mismatch, truncation) reads as a miss, never an error.
+ * checksum mismatch, truncation, a malformed record) reads as a miss,
+ * never an error.  load() and loadDecoded() share one read-and-validate
+ * path and differ only in what the payload decodes into.
  */
 
 #ifndef VMMX_TRACE_TRACE_STORE_HH
@@ -22,6 +24,7 @@
 #include <atomic>
 #include <string>
 
+#include "trace/decoded.hh"
 #include "trace/trace_io.hh"
 
 namespace vmmx
@@ -47,6 +50,11 @@ class TraceStore
     /** @return the stored trace, or null on miss/corruption. */
     SharedTrace load(const TraceKey &key);
 
+    /** @return the stored trace decoded record by record into a
+     *  DecodedStream (no InstRecord vector is built), or null on
+     *  miss/corruption. */
+    SharedDecoded loadDecoded(const TraceKey &key);
+
     /** Persist @p trace atomically. @return false on I/O failure. */
     bool save(const TraceKey &key, const std::vector<InstRecord> &trace);
 
@@ -58,6 +66,12 @@ class TraceStore
     u64 misses() const { return misses_.load(); }
 
   private:
+    /** Read @p key's file, check its checksum, magic/version and key,
+     *  and decode the payload into @p out.  Every failure counts and
+     *  warns as a miss. */
+    template <typename Out>
+    bool loadInto(const TraceKey &key, Out &out);
+
     std::string dir_;
     std::atomic<u64> loads_{0};
     std::atomic<u64> saves_{0};

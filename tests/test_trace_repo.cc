@@ -3,7 +3,9 @@
  * Tiered TraceRepository tests: the decoded tier amortizes the
  * per-record decode process-wide, pins protect borrowed traces and
  * decoded streams against eviction, evicted copies re-materialize from
- * the tier below (decoded from raw, raw from disk), and -- the headline
+ * the tier below (decoded from disk or raw, raw from disk), a store
+ * fills the decoded tier without keeping a raw copy, hostile store
+ * bytes read as a miss, and -- the headline
  * guarantee -- results are bit-identical no matter how tiny the
  * budgets, because budgets only ever change *when* memory is reclaimed,
  * never *what* a run computes.
@@ -58,6 +60,18 @@ class TraceRepoTest : public testing::Test
         return keys[i];
     }
 
+    /** Fill a store at storeDir() with @p keys, as an earlier run
+     *  would have; @return the number of records of each. */
+    std::vector<size_t> fillStore(std::initializer_list<int> keys) const
+    {
+        TraceStore store(storeDir());
+        TraceRepository filler(&store, 0, 0);
+        std::vector<size_t> records;
+        for (int k : keys)
+            records.push_back(filler.raw(key(k))->size());
+        return records;
+    }
+
     fs::path dir_;
 };
 
@@ -76,9 +90,14 @@ TEST_F(TraceRepoTest, DecodedStreamBuiltOncePerKey)
     EXPECT_EQ(repo.decodedStats().hits, 1u);
     EXPECT_EQ(s1.get(), s2.get());
 
-    // The decoded bytes follow the documented ~1.3x raw ratio.
+    // Without a store the raw copy the decode came from stays resident.
     auto raw = repo.raw(key(0));
     u64 rawBytes = raw->size() * sizeof(InstRecord);
+    EXPECT_EQ(repo.rawStats().hits, 1u);
+    EXPECT_EQ(repo.rawStats().bytes, rawBytes);
+    EXPECT_EQ(repo.generations(), 1u);
+
+    // The decoded bytes follow the documented ~1.3x raw ratio.
     EXPECT_GT(repo.decodedStats().bytes, rawBytes);
     EXPECT_LT(repo.decodedStats().bytes, 2 * rawBytes);
 }
@@ -89,18 +108,132 @@ TEST_F(TraceRepoTest, DecodedMatchesPerRecordDecode)
     auto raw = repo.raw(key(1));
     auto stream = repo.decoded(key(1));
     ASSERT_EQ(stream.records(), raw->size());
-    for (size_t i = 0; i < raw->size(); ++i) {
-        DecodedInst direct = decodeInst((*raw)[i]);
-        const DecodedInst &cached = stream.stream().insts[i];
-        // DecodedInst is plain data; compare the identity-relevant
-        // fields (a full memcmp would be padding-sensitive).
-        EXPECT_EQ(direct.addr, cached.addr) << "at " << i;
-        EXPECT_EQ(direct.flags, cached.flags) << "at " << i;
-        EXPECT_EQ(direct.fu, cached.fu) << "at " << i;
-        EXPECT_EQ(direct.latency, cached.latency) << "at " << i;
-        EXPECT_EQ(direct.dstReg, cached.dstReg) << "at " << i;
-        EXPECT_EQ(direct.nSrcs, cached.nSrcs) << "at " << i;
+    for (size_t i = 0; i < raw->size(); ++i)
+        ASSERT_TRUE(decodeInst((*raw)[i]) == stream.stream().insts[i])
+            << "at " << i;
+}
+
+TEST_F(TraceRepoTest, StoreStreamedDecodeMatchesRawDecode)
+{
+    TraceStore store(storeDir());
+    TraceRepository filler(&store, 0, 0);
+    std::vector<TraceKey> keys;
+    for (const char *kernel : {"motion1", "comp", "idct"})
+        for (SimdKind kind : {SimdKind::MMX64, SimdKind::MMX128,
+                              SimdKind::VMMX64, SimdKind::VMMX128})
+            keys.push_back({false, kernel, kind,
+                            TraceRepository::kernelImageBytes,
+                            TraceRepository::defaultSeed});
+    keys.push_back({true, "gsmdec", SimdKind::VMMX128,
+                    TraceRepository::appImageBytes,
+                    TraceRepository::defaultSeed});
+
+    for (const TraceKey &k : keys) {
+        { auto generated = filler.raw(k); } // generates and saves
+        SharedDecoded streamed = store.loadDecoded(k);
+        SharedTrace loaded = store.load(k);
+        ASSERT_TRUE(streamed && loaded) << k.describe();
+        DecodedStream viaRaw = decodeStream(*loaded);
+        ASSERT_EQ(streamed->size(), viaRaw.size()) << k.describe();
+        for (size_t i = 0; i < viaRaw.size(); ++i)
+            ASSERT_TRUE(streamed->insts[i] == viaRaw.insts[i])
+                << k.describe() << " at " << i;
     }
+}
+
+TEST_F(TraceRepoTest, WarmStoreFillsDecodedTierWithoutRawCopy)
+{
+    std::vector<size_t> records = fillStore({0});
+    TraceStore store(storeDir());
+    TraceRepository repo(&store, 0, 0);
+    auto s = repo.decoded(key(0));
+    EXPECT_EQ(s.records(), records[0]);
+    EXPECT_EQ(repo.generations(), 0u);
+    EXPECT_EQ(repo.diskLoads(), 1u);
+    EXPECT_EQ(repo.decodes(), 1u);
+    EXPECT_EQ(repo.rawStats().bytes, 0u);
+    EXPECT_EQ(repo.rawStats().fills, 0u);
+}
+
+TEST_F(TraceRepoTest, ColdStoreDropsRawCopyAfterDecodedFill)
+{
+    TraceStore store(storeDir());
+    TraceRepository repo(&store, 0, 0);
+    auto s = repo.decoded(key(0));
+    EXPECT_EQ(repo.generations(), 1u);
+    EXPECT_EQ(store.saves(), 1u);
+    EXPECT_EQ(repo.rawStats().bytes, 0u) << "raw copy outlived its decode";
+
+    // The dropped copy comes back from disk, not from regeneration.
+    auto raw = repo.raw(key(0));
+    EXPECT_EQ(raw->size(), s.records());
+    EXPECT_EQ(repo.generations(), 1u);
+    EXPECT_EQ(repo.diskLoads(), 1u);
+}
+
+TEST_F(TraceRepoTest, PinnedRawSurvivesDecodedFill)
+{
+    TraceStore store(storeDir());
+    TraceRepository repo(&store, 0, 0);
+    auto raw = repo.raw(key(0));
+    const std::vector<InstRecord> *object = raw.get();
+    auto s = repo.decoded(key(0)); // decodes the resident copy
+    EXPECT_EQ(repo.diskLoads(), 0u);
+    EXPECT_EQ(repo.rawStats().bytes, raw->size() * sizeof(InstRecord));
+    EXPECT_EQ(repo.raw(key(0)).get(), object);
+    EXPECT_EQ(repo.rawStats().hits, 1u);
+}
+
+TEST_F(TraceRepoTest, TinyDecodedBudgetOverStoreRematerializesFromDisk)
+{
+    fillStore({0, 1});
+    TraceStore store(storeDir());
+    TraceRepository repo(&store, 0, 1);
+    { auto s = repo.decoded(key(0)); }
+    { auto s = repo.decoded(key(1)); } // evicts key(0)'s stream
+    { auto s = repo.decoded(key(0)); }
+    EXPECT_GE(repo.decodedStats().evictions, 1u);
+    EXPECT_EQ(repo.decodes(), 3u);
+    EXPECT_EQ(repo.diskLoads(), 3u);
+    EXPECT_EQ(repo.generations(), 0u);
+    EXPECT_EQ(repo.rawStats().bytes, 0u);
+}
+
+TEST_F(TraceRepoTest, HostileRegisterIndexInStoreReadsAsMiss)
+{
+    // A checksum-valid store file whose one record names register 200
+    // of a 64-entry class: save() checksums whatever it is given, so
+    // the file passes every check up to the record decode.
+    InstRecord hostile;
+    hostile.op = Opcode::ADD;
+    hostile.dst = {RegClass::Int, 200};
+    TraceStore store(storeDir());
+    ASSERT_TRUE(store.save(key(0), {hostile}));
+    EXPECT_EQ(store.load(key(0)), nullptr);
+    EXPECT_EQ(store.loadDecoded(key(0)), nullptr);
+    EXPECT_EQ(store.misses(), 2u);
+
+    wire::Writer payload;
+    encodeTrace({hostile}, payload);
+    std::vector<InstRecord> raw;
+    wire::Reader rawReader(payload.buffer());
+    EXPECT_FALSE(decodeTrace(rawReader, raw));
+    DecodedStream decoded;
+    wire::Reader decodedReader(payload.buffer());
+    EXPECT_FALSE(decodeTrace(decodedReader, decoded));
+
+    // Both lookups regenerate the real trace instead of panicking.
+    TraceRepository viaDecoded(&store, 0, 0);
+    auto s = viaDecoded.decoded(key(0));
+    EXPECT_GT(s.records(), 1u);
+    EXPECT_EQ(viaDecoded.generations(), 1u);
+    EXPECT_EQ(viaDecoded.diskLoads(), 0u);
+
+    ASSERT_TRUE(store.save(key(0), {hostile}));
+    TraceRepository viaRaw(&store, 0, 0);
+    auto t = viaRaw.raw(key(0));
+    EXPECT_EQ(t->size(), s.records());
+    EXPECT_EQ(viaRaw.generations(), 1u);
 }
 
 TEST_F(TraceRepoTest, TinyDecodedBudgetEvictsAndRematerializes)

@@ -14,6 +14,7 @@
 #include "dist/protocol.hh"
 #include "dist/wire.hh"
 #include "harness/harness_io.hh"
+#include "trace/decoded.hh"
 #include "trace/trace_repo.hh"
 #include "trace/trace_io.hh"
 
@@ -177,8 +178,12 @@ randomRecord(Rng &rng)
         auto cls = static_cast<RegClass>(rng.below(5));
         // The codec stores no index for RegClass::None (an absent
         // register is canonically {None, 0}, which is what the trace
-        // DSL emits).
-        return {cls, cls == RegClass::None ? u8(0) : rng.byte()};
+        // DSL emits), and accepts only indices inside the class's
+        // logical table.
+        if (cls == RegClass::None)
+            return {cls, 0};
+        size_t regs = logicalTableSize[static_cast<size_t>(cls)];
+        return {cls, u8(rng.below(regs))};
     };
     InstRecord i;
     i.op = static_cast<Opcode>(
@@ -216,10 +221,10 @@ TEST_F(WireTest, InstRecordBoundaryValuesRoundTrip)
     trace.push_back(i); // all defaults
     i.op = static_cast<Opcode>(static_cast<u8>(Opcode::NUM_OPCODES) - 1);
     i.ew = ElemWidth::Q64;
-    i.dst = {RegClass::Acc, 255};
-    i.src0 = {RegClass::Int, 0};
+    i.dst = {RegClass::Acc, 7}; // the largest index of each class
+    i.src0 = {RegClass::Int, 63};
     i.src1 = {RegClass::None, 0};
-    i.src2 = {RegClass::Simd, 31};
+    i.src2 = {RegClass::Simd, 63};
     i.addr = ~0ull;
     i.rowBytes = 0xffff;
     i.stride = s32(0x80000000); // INT32_MIN
@@ -278,6 +283,20 @@ TEST_F(WireTest, CorruptTraceStreamsFailCleanly)
     bad[1] = 0xff; // first record's opcode
     wire::Reader r(bad);
     EXPECT_FALSE(decodeTrace(r, back));
+
+    // So must a register index past its class's logical table, into
+    // either tier: decodeInst() would otherwise assert on it.
+    for (unsigned c = 0; c < numRegClasses; ++c) {
+        InstRecord i;
+        i.dst = {static_cast<RegClass>(c), u8(logicalTableSize[c])};
+        wire::Writer one;
+        encodeTrace({i}, one);
+        wire::Reader raw(one.buffer());
+        EXPECT_FALSE(decodeTrace(raw, back)) << "class " << c;
+        DecodedStream decoded;
+        wire::Reader streamed(one.buffer());
+        EXPECT_FALSE(decodeTrace(streamed, decoded)) << "class " << c;
+    }
 }
 
 TEST_F(WireTest, RealKernelTraceRoundTripsAndCompresses)
