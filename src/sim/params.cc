@@ -71,6 +71,10 @@ CoreParams::forConfig(SimdKind kind, unsigned way, const Config &cfg)
 
     if (p.physInt <= p.logicalInt || p.physSimd <= p.logicalSimd)
         fatal("physical register file must exceed the logical one");
+    // The store window's ring is sized to the next power of two.
+    if (p.storeWindow > (1u << 20))
+        fatal("core.store_window %u exceeds the 1048576-store limit",
+              p.storeWindow);
     return p;
 }
 

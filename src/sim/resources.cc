@@ -29,4 +29,12 @@ RegFreeList::RegFreeList(unsigned physRegs, unsigned logicalRegs)
     mask_ = cap - 1;
 }
 
+StoreWindow::StoreWindow(unsigned window) : window_(window)
+{
+    // At most window entries are live at once.
+    u32 cap = nextPow2(u32(window));
+    ring_.resize(cap);
+    mask_ = cap - 1;
+}
+
 } // namespace vmmx

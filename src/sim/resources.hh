@@ -2,8 +2,8 @@
  * @file
  * Structural-resource models used by the single-pass out-of-order timing
  * core: per-cycle width gates for the in-order stages, slot pools for
- * functional units, a windowed issue-queue model, and per-class physical
- * register free lists.
+ * functional units, a windowed issue-queue model, per-class physical
+ * register free lists, and the store window loads disambiguate against.
  *
  * Instructions are processed in program order; these helpers answer "at
  * which cycle >= c can this instruction acquire the resource" while
@@ -13,9 +13,16 @@
  * loop (the profile is dominated by them, not by the caches), so they
  * are defined inline and avoid heap-backed containers: the issue queue
  * is a flat array with a min scan (capacity is a handful of entries),
- * and the free lists exploit that releases arrive in non-decreasing
- * commit order, turning the priority queue this replaced into a plain
- * FIFO ring with identical semantics.
+ * the free lists exploit that releases arrive in non-decreasing commit
+ * order, turning the priority queue this replaced into a plain FIFO
+ * ring with identical semantics, and the store window drops every store
+ * that can no longer delay a load, so a load walks only the stores
+ * still in flight.
+ *
+ * The SoA batch kernels (sim/sim_batch.hh) keep their own lane-parallel
+ * copies of the gates, pools and issue queue; the serial models here are
+ * the oracle those copies must match.  The free lists and the store
+ * window are shared: the batch calls into each lane's own instance.
  */
 
 #ifndef VMMX_SIM_RESOURCES_HH
@@ -214,6 +221,83 @@ class RegFreeList
     u32 mask_;
     unsigned free_;
     unsigned initialFree_;
+};
+
+/**
+ * Memory disambiguation: a load waits for every overlapping store among
+ * the last @p window stores that is still in flight when it would issue,
+ * i.e. its issue cycle becomes the max of its own and those stores'
+ * completion cycles.
+ *
+ * Entries are kept in push order and dropped as soon as they can no
+ * longer delay any load, which is exact:
+ *  - when they leave the last @p window pushes;
+ *  - when their completion cycle is at or below the wait floor, a cycle
+ *    no current or later load issues before.  The timing core passes
+ *    its rename cycle + 1: rename is in order and a load issues after
+ *    it renames, so floors never decrease and a dropped store could
+ *    never again satisfy done > issue.
+ * A wait therefore walks only the stores still in flight past rename,
+ * usually a handful, instead of the whole window.
+ */
+class StoreWindow
+{
+  public:
+    explicit StoreWindow(unsigned window);
+
+    void push(Addr lo, Addr hi, Cycle done)
+    {
+        if (window_ == 0)
+            return;
+        u64 seq = pushes_++;
+        while (count_ != 0 && ring_[head_ & mask_].seq + window_ <= seq) {
+            ++head_;
+            --count_;
+        }
+        ring_[(head_ + count_) & mask_] = {lo, hi, done, seq};
+        ++count_;
+    }
+
+    /** @return max(@p issue, done of every store in the window that
+     *  overlaps [lo, hi) and is still in flight at @p issue).  Requires
+     *  floor <= issue, and floors that never decrease across calls;
+     *  stores done by @p floor are dropped on the way. */
+    Cycle wait(Addr lo, Addr hi, Cycle issue, Cycle floor)
+    {
+        u32 kept = head_;
+        for (u32 i = head_; i != head_ + count_; ++i) {
+            Entry e = ring_[i & mask_];
+            if (e.done <= floor)
+                continue;
+            if (e.done > issue && e.lo < hi && lo < e.hi)
+                issue = e.done;
+            ring_[kept++ & mask_] = e;
+        }
+        count_ = kept - head_;
+        return issue;
+    }
+
+    void reset()
+    {
+        head_ = count_ = 0;
+        pushes_ = 0;
+    }
+
+  private:
+    struct Entry
+    {
+        Addr lo;
+        Addr hi;
+        Cycle done;
+        u64 seq; ///< push number, for expiry by window
+    };
+
+    std::vector<Entry> ring_; ///< live entries, oldest first from head_
+    u32 head_ = 0;
+    u32 count_ = 0;
+    u32 mask_;
+    u64 pushes_ = 0;
+    unsigned window_;
 };
 
 } // namespace vmmx

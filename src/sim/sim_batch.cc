@@ -59,7 +59,7 @@ SimBatch::SimBatch(std::span<SimContext *const> ctxs)
         maxSimd = std::max<size_t>(maxSimd, p.simdFus);
         maxIssue = std::max<size_t>(maxIssue, p.simdIssue);
     }
-    iqRows = maxIq;
+    iqRows = iqRowsFor(maxIq);
     iqSlots.assign(iqRows * padded, kInf);
 
     auto initPool = [&](Pool &pool, size_t rows, auto slotsOf) {

@@ -25,11 +25,16 @@
  *    select (real cycle values stay far below it),
  *  - the IQ keeps the scalar model's compact-array semantics per lane:
  *    rows [0, occ) hold resident issue cycles in the exact order the
- *    flat-vector model would, rows [occ, rows) hold kInf.
+ *    flat-vector model would, rows [occ, rows) hold kInf.  A lane is
+ *    full at occ == cap, so its rows past cap hold kInf and a min scan
+ *    for full lanes can stop at the widest full lane's capacity; rows
+ *    come in multiples of 4 for the kernel's four-way interleaved scan.
  *
  * What stays scalar per lane -- the data-dependent tails vectorization
  * cannot reach: free-list FIFO bookkeeping, memory-system accesses and
- * store-set disambiguation, branch-predictor updates (skipped for
+ * store-window disambiguation (each lane's own StoreWindow, which keeps
+ * only stores still in flight past the lane's rename cycle, so a load
+ * walks a handful of entries), branch-predictor updates (skipped for
  * lanes 1..N-1 when every lane has the same predictor geometry, since
  * prediction inputs are trace-determined and the tables then evolve
  * identically), and the O(1) writebacks after each vector min scan.
@@ -97,7 +102,14 @@ struct SimBatch
     std::vector<u64> lanesOcc;
 
     // ---- issue queue (slot-major, compact per lane) ----
-    size_t iqRows = 0;      ///< widest lane's capacity
+    /** IQ slot rows are allocated in multiples of 4 so the interleaved
+     *  min scan needs no remainder loop; the extra rows hold kInf. */
+    static size_t iqRowsFor(size_t capacity)
+    {
+        return (capacity + 3) & ~size_t(3);
+    }
+
+    size_t iqRows = 0;      ///< iqRowsFor(widest lane's capacity)
     std::vector<u64> iqCap; ///< per-lane capacity
     std::vector<u64> iqOcc; ///< per-lane residency
     std::vector<u64> iqSlots;
@@ -151,15 +163,15 @@ struct SimBatch
     }
 
     /** The whole Mem-FU case for one lane: disambiguation, the cache
-     *  access, store-window push.  Reads ready[l], writes issue[l] and
-     *  done[l]. */
+     *  access, store-window push.  Reads ready[l] and the post-gate
+     *  rn[l] (the wait floor is rn + 1), writes issue[l] and done[l]. */
     void
     memAccess(size_t l, const DecodedInst &inst)
     {
         SimContext &sc = *ctx[l];
         Cycle is = ready[l];
         if (inst.has(DecodedInst::kLoad))
-            is = sc.disambiguate(inst.lo, inst.hi, is);
+            is = sc.stores_.wait(inst.lo, inst.hi, is, rn[l] + 1);
         bool isWrite = inst.has(DecodedInst::kStore);
         Cycle dn;
         if (inst.has(DecodedInst::kVecMem)) {
@@ -171,7 +183,7 @@ struct SimBatch
                                        is);
         }
         if (isWrite)
-            sc.pushStore(inst.lo, inst.hi, dn);
+            sc.stores_.push(inst.lo, inst.hi, dn);
         issue[l] = is;
         done[l] = dn;
     }

@@ -13,7 +13,7 @@ namespace
 {
 
 /** Records decoded per block.  Context state (register tables, ROB and
- *  store rings, cache tags) is large enough that switching contexts too
+ *  store window, cache tags) is large enough that switching contexts too
  *  often costs more than re-streaming decoded records, so blocks are
  *  sized for a 2 MiB decoded footprint: measured fastest on both short
  *  kernel traces (single block) and multi-MiB app traces, while
@@ -36,10 +36,10 @@ SimContext::SimContext(const CoreParams &params, MemorySystem *mem)
       simdPool_(params.simdFus),
       simdIssuePool_(params.simdIssue),
       bpred_(params.bpredEntries),
-      robRing_(params.robSize, 0)
+      robRing_(params.robSize, 0),
+      stores_(params.storeWindow)
 {
     vmmx_assert(mem_ != nullptr, "simulation context needs a memory system");
-    stores_.reserve(params.storeWindow);
 
     freeLists_.reserve(numRegClasses);
     freeLists_.emplace_back(params.physInt, params.logicalInt);
@@ -74,66 +74,10 @@ SimContext::reset()
         fl.reset();
     regReady_.fill(0);
     std::fill(robRing_.begin(), robRing_.end(), 0);
-    resetStores();
+    stores_.reset();
     robPos_ = 0;
     lastCommit_ = 0;
     fetchRedirect_ = 0;
-}
-
-void
-SimContext::pushStore(Addr lo, Addr hi, Cycle done)
-{
-    if (params_.storeWindow == 0)
-        return;
-    if (stores_.size() < params_.storeWindow) {
-        stores_.push_back({lo, hi, done});
-    } else {
-        stores_[storeHead_] = {lo, hi, done};
-        if (++storeHead_ == stores_.size())
-            storeHead_ = 0;
-    }
-    storesMaxDone_ = std::max(storesMaxDone_, done);
-    storesLoMin_ = std::min(storesLoMin_, lo);
-    storesHiMax_ = std::max(storesHiMax_, hi);
-}
-
-Cycle
-SimContext::disambiguate(Addr lo, Addr hi, Cycle issue)
-{
-    // The bounds over-approximate the live window, so a miss here proves
-    // no overlapping store is still in flight.
-    if (stores_.empty() || issue >= storesMaxDone_ ||
-        hi <= storesLoMin_ || lo >= storesHiMax_) {
-        return issue;
-    }
-
-    // The final issue cycle is max(issue, done of overlapping in-flight
-    // stores) -- order independent, so the ring is walked linearly while
-    // the bounds are re-tightened to the exact live set.
-    Cycle maxDone = 0;
-    Addr loMin = ~Addr(0);
-    Addr hiMax = 0;
-    for (const PendingStore &st : stores_) {
-        if (st.done > issue && st.lo < hi && lo < st.hi)
-            issue = st.done;
-        maxDone = std::max(maxDone, st.done);
-        loMin = std::min(loMin, st.lo);
-        hiMax = std::max(hiMax, st.hi);
-    }
-    storesMaxDone_ = maxDone;
-    storesLoMin_ = loMin;
-    storesHiMax_ = hiMax;
-    return issue;
-}
-
-void
-SimContext::resetStores()
-{
-    stores_.clear();
-    storeHead_ = 0;
-    storesMaxDone_ = 0;
-    storesLoMin_ = ~Addr(0);
-    storesHiMax_ = 0;
 }
 
 void
@@ -218,7 +162,7 @@ SimContext::step(const DecodedInst &inst)
         issue = ready;
         if (inst.has(DecodedInst::kLoad)) {
             // Wait for older overlapping stores still in flight.
-            issue = disambiguate(inst.lo, inst.hi, issue);
+            issue = stores_.wait(inst.lo, inst.hi, issue, rn + 1);
         }
         bool isWrite = inst.has(DecodedInst::kStore);
         if (inst.has(DecodedInst::kVecMem)) {
@@ -229,7 +173,7 @@ SimContext::step(const DecodedInst &inst)
                                       issue);
         }
         if (isWrite)
-            pushStore(inst.lo, inst.hi, done);
+            stores_.push(inst.lo, inst.hi, done);
         ++stats_.memOps;
         break;
       }

@@ -6,7 +6,7 @@
  * A SimContext owns every piece of mutable per-run state of the
  * out-of-order timing model -- the width gates, issue queue, functional-
  * unit pools, branch predictor, register free lists, ready tables, ROB
- * and store rings, and the statistics of the run in flight -- bound to
+ * ring, store window, and the statistics of the run in flight -- bound to
  * one CoreParams and one MemorySystem.  Pulling that state out of
  * OoOCore is what makes batched simulation possible: N contexts can be
  * stepped against the *same* dynamic instruction stream, so a sweep
@@ -109,32 +109,9 @@ class SimContext
     Cycle lastCommit_ = 0;
     Cycle fetchRedirect_ = 0;
 
-    struct PendingStore
-    {
-        Addr lo;
-        Addr hi;
-        Cycle done;
-    };
-
-    /**
-     * The last storeWindow stores, kept in a fixed ring (the newest
-     * overwrites the oldest).  The interval and completion-time bounds
-     * over the live entries let the per-load disambiguation walk be
-     * skipped outright when no pending store can overlap or is still in
-     * flight; they are conservative (never under-approximate) and are
-     * tightened on every full walk.
-     */
-    std::vector<PendingStore> stores_;
-    size_t storeHead_ = 0;
-    Cycle storesMaxDone_ = 0;
-    Addr storesLoMin_ = ~Addr(0);
-    Addr storesHiMax_ = 0;
-
-    void pushStore(Addr lo, Addr hi, Cycle done);
-    /** @return the load's issue cycle after waiting for overlapping
-     *  older stores still in flight at @p issue. */
-    Cycle disambiguate(Addr lo, Addr hi, Cycle issue);
-    void resetStores();
+    /** Stores loads disambiguate against; the wait floor is the
+     *  load's rename cycle + 1 (see StoreWindow). */
+    StoreWindow stores_;
 
     RunStats stats_;
 };

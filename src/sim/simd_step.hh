@@ -15,8 +15,11 @@
  * 2^62 (kInf is the pool sentinel), so unsigned u64 ordering coincides
  * with signed ordering and the SSE2 sign-of-difference / AVX2 signed-
  * compare idioms are exact.  The min scans reproduce the scalar
- * models' first-strict-minimum scan order, so tie-breaking is
- * identical, not just equivalent.
+ * models' first-strict-minimum (lowest row among equal minima), so
+ * tie-breaking is identical, not just equivalent: the pool scans walk
+ * rows in order, and the issue-queue scan, the longest (up to 64 rows),
+ * splits its rows over four accumulators whose results are merged by
+ * value, then row (minScan4).
  *
  * This header is included only by the per-ISA kernel translation
  * units, each compiled with the matching -m flags; the ISA-specific
@@ -59,6 +62,7 @@ struct ScalarOps
     static Vec blend(Mask m, Vec a, Vec b) { return m ? a : b; }
     static Vec addWhere(Vec v, Mask m) { return v + (m ? 1 : 0); }
     static Mask andM(Mask a, Mask b) { return a && b; }
+    static Mask orM(Mask a, Mask b) { return a || b; }
     static Mask notM(Mask a) { return !a; }
 };
 
@@ -98,6 +102,7 @@ struct Sse2Ops
     }
     static Vec addWhere(Vec v, Mask m) { return _mm_sub_epi64(v, m); }
     static Mask andM(Mask a, Mask b) { return _mm_and_si128(a, b); }
+    static Mask orM(Mask a, Mask b) { return _mm_or_si128(a, b); }
     static Mask notM(Mask a)
     {
         return _mm_xor_si128(a, _mm_set1_epi32(-1));
@@ -134,6 +139,7 @@ struct Avx2Ops
     }
     static Vec addWhere(Vec v, Mask m) { return _mm256_sub_epi64(v, m); }
     static Mask andM(Mask a, Mask b) { return _mm256_and_si256(a, b); }
+    static Mask orM(Mask a, Mask b) { return _mm256_or_si256(a, b); }
     static Mask notM(Mask a)
     {
         return _mm256_xor_si256(a, _mm256_set1_epi32(-1));
@@ -167,6 +173,7 @@ struct Avx512Ops
         return _mm512_mask_add_epi64(v, m, v, _mm512_set1_epi64(1));
     }
     static Mask andM(Mask a, Mask b) { return Mask(a & b); }
+    static Mask orM(Mask a, Mask b) { return Mask(a | b); }
     static Mask notM(Mask a) { return Mask(~a); }
 };
 #endif // __AVX512F__
@@ -237,6 +244,50 @@ poolWriteback(SimBatch &b, SimBatch::Pool &pool, const u64 *occArr,
 }
 
 /**
+ * First-strict-minimum scan over rows [0, rows) of a slot-major table
+ * for the lanes of chunk @p c: the smallest value per lane and the
+ * lowest row holding it.  Four (value, row) accumulators take
+ * interleaved rows, so their compare/blend chains run in parallel
+ * rather than as one serial chain; each keeps its own rows' first
+ * minimum, and combining two by "smaller value, then lower row" yields
+ * exactly the sequential scan's (value, row).  @p rows must be a
+ * multiple of 4.
+ */
+template <class V>
+inline void
+minScan4(const u64 *slots, size_t P, size_t c, size_t rows,
+         typename V::Vec &bestV, typename V::Vec &bestI)
+{
+    using Vec = typename V::Vec;
+    Vec val[4], row[4];
+    for (size_t j = 0; j < 4; ++j) {
+        val[j] = V::bcast(SimBatch::kInf);
+        row[j] = V::bcast(0);
+    }
+    for (size_t r = 0; r < rows; r += 4) {
+        for (size_t j = 0; j < 4; ++j) {
+            auto v = V::load(&slots[(r + j) * P + c]);
+            auto lt = V::ltU(v, val[j]);
+            val[j] = V::blend(lt, v, val[j]);
+            row[j] = V::blend(lt, V::bcast(r + j), row[j]);
+        }
+    }
+    // Take b over a where b is smaller, or equal at a lower row.
+    auto merge = [](Vec &aV, Vec &aI, Vec bV, Vec bI) {
+        auto takeB = V::orM(V::ltU(bV, aV),
+                            V::andM(V::notM(V::ltU(aV, bV)),
+                                    V::ltU(bI, aI)));
+        aV = V::blend(takeB, bV, aV);
+        aI = V::blend(takeB, bI, aI);
+    };
+    merge(val[0], row[0], val[1], row[1]);
+    merge(val[2], row[2], val[3], row[3]);
+    merge(val[0], row[0], val[2], row[2]);
+    bestV = val[0];
+    bestI = row[0];
+}
+
+/**
  * Advance every lane of @p b through @p n decoded records.  The phase
  * order is SimContext::step()'s, record for record; trace-determined
  * branches (FU type, flags, operand lists) are taken once per record
@@ -277,22 +328,18 @@ stepBlockT(SimBatch &b, const DecodedInst *insts, size_t n)
 
         // ---- issue-queue space ----
         if (takesIq) {
-            bool anyFull = false;
+            // Only full lanes read the min scan, and a full lane's rows
+            // past its own capacity hold kInf, so the scan stops at the
+            // widest full lane's capacity (rounded up to the row padding).
+            u64 fullRows = 0;
             for (size_t l = 0; l < L; ++l)
-                anyFull |= b.iqOcc[l] == b.iqCap[l];
-            if (anyFull) {
-                // One min scan serves every full lane; lanes with room
-                // ignore the result, exactly as their scalar model
-                // would not have scanned at all.
+                if (b.iqOcc[l] == b.iqCap[l])
+                    fullRows = std::max(fullRows, b.iqCap[l]);
+            if (fullRows != 0) {
+                const size_t rows = SimBatch::iqRowsFor(fullRows);
                 for (size_t c = 0; c < P; c += V::W) {
-                    auto bestV = V::bcast(SimBatch::kInf);
-                    auto bestI = V::bcast(0);
-                    for (size_t r = 0; r < b.iqRows; ++r) {
-                        auto v = V::load(&b.iqSlots[r * P + c]);
-                        auto lt = V::ltU(v, bestV);
-                        bestV = V::blend(lt, v, bestV);
-                        bestI = V::blend(lt, V::bcast(r), bestI);
-                    }
+                    typename V::Vec bestV, bestI;
+                    minScan4<V>(b.iqSlots.data(), P, c, rows, bestV, bestI);
                     V::store(&b.t0[c], bestV);
                     V::store(&b.t1[c], bestI);
                 }

@@ -279,11 +279,11 @@ randomMachine(std::mt19937 &rng, SimdKind kind)
     if (rng() % 2)
         knobs.set("core.rob", pick({16, 32, 64, 128}));
     if (rng() % 2)
-        knobs.set("core.iq", pick({8, 16, 32}));
+        knobs.set("core.iq", pick({5, 8, 13, 16, 32, 64}));
     if (rng() % 2)
         knobs.set("core.lanes", pick({1, 2, 4}));
     if (rng() % 2)
-        knobs.set("core.store_window", pick({0, 16, 64}));
+        knobs.set("core.store_window", pick({0, 1, 3, 16, 64}));
     if (rng() % 2)
         knobs.set("core.bpred", pick({256, 4096}));
     if (rng() % 2)
