@@ -700,29 +700,17 @@ runSweep(const std::vector<SweepPoint> &points, const ExecutionPolicy &policy,
      *  must treat the worker as dead). */
     auto sendUnit = [&](WorkerProc &w, u32 unit) -> bool {
         TELEMETRY_SPAN("wire.encode");
-        std::vector<u32> indices;
+        JobGroupMsg group;
         for (u32 i : units[unit])
-            if (!have[i] && !failed[i])
-                indices.push_back(i);
-        if (indices.empty())
-            return true;
-        bool ok;
-        if (indices.size() == 1) {
-            JobMsg job;
-            job.index = indices[0];
-            job.point = points[indices[0]];
-            ok = wire::writeFrame(w.fd, encode(job));
-        } else {
-            JobGroupMsg group;
-            group.indices = indices;
-            group.points.reserve(indices.size());
-            for (u32 i : indices)
+            if (!have[i] && !failed[i]) {
+                group.indices.push_back(i);
                 group.points.push_back(points[i]);
-            ok = wire::writeFrame(w.fd, encode(group));
-        }
-        if (!ok)
+            }
+        if (group.indices.empty())
+            return true;
+        if (!wire::writeFrame(w.fd, encode(group)))
             return false;
-        w.inflight.push_back({unit, u32(indices.size()), nowMs()});
+        w.inflight.push_back({unit, u32(group.indices.size()), nowMs()});
         ++st.groupsRun;
         return true;
     };
@@ -1003,29 +991,15 @@ runSweep(const std::vector<SweepPoint> &points, const ExecutionPolicy &policy,
                 break;
               }
               case Msg::Stats: {
-                StatsMsg m;
+                RepoCounters m;
                 if (!decode(frame, m)) {
                     workerDied(*w, WorkerExit::Cause::Malformed,
                                "malformed stats frame", true);
                     break;
                 }
-                st.generations += m.generations;
-                st.hits += m.hits;
-                st.diskLoads += m.diskLoads;
-                st.storeSaves += m.storeSaves;
-                st.bytesResident += m.bytesResident;
-                st.decodes += m.decodes;
-                st.decodedHits += m.decodedHits;
-                st.decodedBytes += m.decodedBytes;
+                st += m;
                 // += : the slot's earlier spawns may have reported too.
-                WorkerTierStats &pw = st.perWorker[w->slot];
-                pw.generations += m.generations;
-                pw.hits += m.hits;
-                pw.diskLoads += m.diskLoads;
-                pw.decodes += m.decodes;
-                pw.decodedHits += m.decodedHits;
-                pw.bytesResident += m.bytesResident;
-                pw.decodedBytes += m.decodedBytes;
+                st.perWorker[w->slot] += m;
                 w->statsSeen = true;
                 break;
               }

@@ -53,23 +53,12 @@
 #include <vector>
 
 #include "common/logging.hh"
+#include "dist/protocol.hh"
 #include "harness/executor.hh"
 #include "trace/trace_repo.hh"
 
 namespace vmmx::dist
 {
-
-/** One worker's end-of-session trace-repository tier counters. */
-struct WorkerTierStats
-{
-    u64 generations = 0;   ///< traces built from scratch
-    u64 hits = 0;          ///< raw-tier RAM hits
-    u64 diskLoads = 0;     ///< traces read from the disk tier
-    u64 decodes = 0;       ///< decoded-tier fills
-    u64 decodedHits = 0;   ///< decoded-tier RAM hits
-    u64 bytesResident = 0; ///< raw bytes resident at exit
-    u64 decodedBytes = 0;  ///< decoded bytes resident at exit
-};
 
 /** How one worker spawn ended (one entry per spawn, including clean
  *  ones, in the order the driver learned of them). */
@@ -95,23 +84,17 @@ struct WorkerExit
 /** Spec spelling of an exit cause ("clean", "signal", ...). */
 const char *name(WorkerExit::Cause c);
 
-/** Aggregate execution statistics of one distributed run. */
-struct DistStats
+/**
+ * Aggregate execution statistics of one distributed run.  The inherited
+ * RepoCounters are summed over all workers' private trace repositories.
+ */
+struct DistStats : RepoCounters
 {
-    // Summed over all workers' private trace repositories.
-    u64 generations = 0; ///< traces actually generated this run
-    u64 hits = 0;        ///< raw-tier lookups served from worker RAM
-    u64 diskLoads = 0;   ///< lookups served from the on-disk TraceStore
-    u64 storeSaves = 0;  ///< traces newly persisted to the store
-    u64 bytesResident = 0; ///< raw trace bytes held across workers at exit
-    u64 decodes = 0;     ///< decoded streams built across workers
-    u64 decodedHits = 0; ///< decoded-tier lookups served from worker RAM
-    u64 decodedBytes = 0; ///< decoded bytes held across workers at exit
     /** The same counters per worker slot, accumulated across that
      *  slot's spawns (the per-worker tier report of vmmx_study).  A
      *  spawn that dies before its Done handshake never reports; its
      *  tier counters are lost with it. */
-    std::vector<WorkerTierStats> perWorker;
+    std::vector<RepoCounters> perWorker;
     // Driver-side scheduling counters.  Jobs count grid points (the
     // journal/aggregation unit); groups count the batched trace groups
     // those points were dispatched in.

@@ -42,14 +42,6 @@ struct SetupMsgMirror
 static_assert(sizeof(SetupMsg) == sizeof(SetupMsgMirror),
               "SetupMsg changed: update encode/decode and the mirror");
 
-struct JobMsgMirror
-{
-    u32 index;
-    SweepPoint point;
-};
-static_assert(sizeof(JobMsg) == sizeof(JobMsgMirror),
-              "JobMsg changed: update encode/decode and the mirror");
-
 struct JobGroupMsgMirror
 {
     std::vector<u32> indices;
@@ -67,13 +59,14 @@ struct ResultMsgMirror
 static_assert(sizeof(ResultMsg) == sizeof(ResultMsgMirror),
               "ResultMsg changed: update encode/decode and the mirror");
 
-struct StatsMsgMirror
+struct RepoCountersMirror
 {
     u64 generations, hits, diskLoads, storeSaves, bytesResident, decodes,
         decodedHits, decodedBytes;
 };
-static_assert(sizeof(StatsMsg) == sizeof(StatsMsgMirror),
-              "StatsMsg changed: update encode/decode and the mirror");
+static_assert(sizeof(RepoCounters) == sizeof(RepoCountersMirror),
+              "RepoCounters changed: update encode/decode, operator+=, "
+              "and the mirror");
 
 struct SpanRecordMirror
 {
@@ -154,25 +147,6 @@ decode(const std::vector<u8> &frame, SetupMsg &m)
 }
 
 std::vector<u8>
-encode(const JobMsg &m)
-{
-    wire::Writer w = begin(Msg::Job);
-    w.fixed32(m.index);
-    serialize(w, m.point);
-    return w.take();
-}
-
-bool
-decode(const std::vector<u8> &frame, JobMsg &m)
-{
-    if (frameType(frame) != Msg::Job)
-        return false;
-    wire::Reader r = body(frame);
-    m.index = r.fixed32();
-    return deserialize(r, m.point) && r.atEnd();
-}
-
-std::vector<u8>
 encode(const JobGroupMsg &m)
 {
     wire::Writer w = begin(Msg::JobGroup);
@@ -234,8 +208,22 @@ decode(const std::vector<u8> &frame, ResultMsg &m)
     return deserialize(r, m.result) && r.atEnd();
 }
 
+RepoCounters &
+RepoCounters::operator+=(const RepoCounters &o)
+{
+    generations += o.generations;
+    hits += o.hits;
+    diskLoads += o.diskLoads;
+    storeSaves += o.storeSaves;
+    bytesResident += o.bytesResident;
+    decodes += o.decodes;
+    decodedHits += o.decodedHits;
+    decodedBytes += o.decodedBytes;
+    return *this;
+}
+
 std::vector<u8>
-encode(const StatsMsg &m)
+encode(const RepoCounters &m)
 {
     wire::Writer w = begin(Msg::Stats);
     w.varint(m.generations);
@@ -250,7 +238,7 @@ encode(const StatsMsg &m)
 }
 
 bool
-decode(const std::vector<u8> &frame, StatsMsg &m)
+decode(const std::vector<u8> &frame, RepoCounters &m)
 {
     if (frameType(frame) != Msg::Stats)
         return false;

@@ -5,13 +5,14 @@
  * Transport is a byte stream (a socketpair today; the framing is
  * transport-agnostic) carrying length-prefixed frames whose payload is a
  * one-byte message type followed by a typed body.  The driver opens with
- * Setup, then streams work -- single grid points (Job) or whole trace
- * groups (JobGroup, the batched default, answered with one Result per
- * point so the journal and aggregation formats are identical in both
- * modes).  The worker answers the final Done with a Stats frame before
- * exiting.  A worker that cannot continue sends Error and exits nonzero.
+ * Setup, then streams work as JobGroup frames -- a whole trace group when
+ * batching, a group of one point otherwise -- each answered with one
+ * Result per point, so the journal and aggregation formats do not depend
+ * on the unit size.  The worker answers the final Done with a Stats
+ * frame before exiting.  A worker that cannot continue sends Error and
+ * exits nonzero.
  *
- *   driver -> worker : Setup, (Job | JobGroup)*, Done
+ *   driver -> worker : Setup, JobGroup*, Done
  *   worker -> driver : Result*, Stats | Error
  */
 
@@ -29,24 +30,25 @@
 namespace vmmx::dist
 {
 
-/** v6: each Event unit record also names the host-SIMD step-kernel
- *  path that produced it, so merged driver metrics attribute worker
- *  throughput to the right kernel.  (v5 added Event telemetry frames
- *  -- buffered spans + per-unit timing records interleaved with
+/** v7: the single-point Job frame is gone -- every unit, one point or
+ *  a whole trace group, is a JobGroup frame.  (v6 named the host-SIMD
+ *  step-kernel path in each Event unit record; v5 added Event telemetry
+ *  frames -- buffered spans + per-unit timing records interleaved with
  *  Results, purely observational; v4 supervised workers with spawn
  *  ordinals and fault specs; v3 the tiered-repository budgets; v2
  *  JobGroup frames.) */
-constexpr u32 protocolVersion = 6;
+constexpr u32 protocolVersion = 7;
 
+/** Message types.  Values are stable across versions: the retired Job
+ *  type (2) is never reused. */
 enum class Msg : u8
 {
     Setup = 1, ///< driver->worker: session parameters
-    Job,       ///< driver->worker: one grid point to run
-    Done,      ///< driver->worker: no more jobs; reply Stats and exit
+    Done = 3,  ///< driver->worker: no more jobs; reply Stats and exit
     Result,    ///< worker->driver: finished grid point
-    Stats,     ///< worker->driver: end-of-session cache statistics
+    Stats,     ///< worker->driver: end-of-session RepoCounters
     Error,     ///< worker->driver: fatal worker-side failure
-    JobGroup,  ///< driver->worker: a trace group to run as one batch
+    JobGroup,  ///< driver->worker: one unit (trace group or one point)
     Event,     ///< worker->driver: telemetry spans + unit records
 };
 
@@ -66,16 +68,11 @@ struct SetupMsg
                             ///< them in Event frames
 };
 
-struct JobMsg
-{
-    u32 index = 0; ///< submission-order slot in the grid
-    SweepPoint point;
-};
-
 /**
- * A whole trace group: points that replay the same trace, run by the
- * worker as one batched pass (runTraceBatch).  Answered with one Result
- * frame per entry, in entry order.
+ * One schedulable unit: points that replay the same trace (a whole
+ * trace group, or a single point with batching off), run by the worker
+ * as one runSweepUnit() pass.  Answered with one Result frame per
+ * entry, in entry order.
  */
 struct JobGroupMsg
 {
@@ -90,7 +87,12 @@ struct ResultMsg
     RunResult result;
 };
 
-struct StatsMsg
+/**
+ * A worker's end-of-session trace-repository tier counters: the body of
+ * its Stats frame, one perWorker row of DistStats, and (summed over
+ * the fleet) the head of DistStats itself.
+ */
+struct RepoCounters
 {
     u64 generations = 0;   ///< traces built from scratch (tier-1 fills)
     u64 hits = 0;          ///< raw-tier lookups served from RAM
@@ -100,6 +102,8 @@ struct StatsMsg
     u64 decodes = 0;       ///< decoded-tier fills (full-trace decodes)
     u64 decodedHits = 0;   ///< decoded-tier lookups served from RAM
     u64 decodedBytes = 0;  ///< decoded-tier bytes resident at exit
+
+    RepoCounters &operator+=(const RepoCounters &o);
 };
 
 /**
@@ -117,11 +121,10 @@ struct EventMsg
 };
 
 std::vector<u8> encode(const SetupMsg &m);
-std::vector<u8> encode(const JobMsg &m);
 std::vector<u8> encode(const JobGroupMsg &m);
 std::vector<u8> encodeDone();
 std::vector<u8> encode(const ResultMsg &m);
-std::vector<u8> encode(const StatsMsg &m);
+std::vector<u8> encode(const RepoCounters &m);
 std::vector<u8> encodeError(const std::string &what);
 std::vector<u8> encode(const EventMsg &m);
 
@@ -130,10 +133,9 @@ Msg frameType(const std::vector<u8> &frame);
 
 /** Decode the body of a frame whose type was already checked. */
 bool decode(const std::vector<u8> &frame, SetupMsg &m);
-bool decode(const std::vector<u8> &frame, JobMsg &m);
 bool decode(const std::vector<u8> &frame, JobGroupMsg &m);
 bool decode(const std::vector<u8> &frame, ResultMsg &m);
-bool decode(const std::vector<u8> &frame, StatsMsg &m);
+bool decode(const std::vector<u8> &frame, RepoCounters &m);
 bool decodeError(const std::vector<u8> &frame, std::string &what);
 bool decode(const std::vector<u8> &frame, EventMsg &m);
 

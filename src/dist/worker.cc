@@ -3,13 +3,13 @@
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <numeric>
 #include <unistd.h>
 
 #include "common/env.hh"
 #include "common/logging.hh"
 #include "dist/protocol.hh"
-#include "harness/runner.hh"
-#include "sim/simd_dispatch.hh"
+#include "harness/executor.hh"
 #include "trace/trace_repo.hh"
 
 namespace vmmx::dist
@@ -161,13 +161,15 @@ workerServe(int fd)
         store = std::make_unique<TraceStore>(setup.storeDir);
     TraceRepository repo(store.get(), setup.cacheBudget,
                          setup.decodedBudget);
+    ExecutionPolicy policy;
+    policy.repo = &repo;
 
     int rc = 1;
     while (wire::readFrame(fd, frame)) {
         Msg type = frameType(frame);
         if (type == Msg::Done) {
             flushTelemetry();
-            StatsMsg stats;
+            RepoCounters stats;
             stats.generations = repo.generations();
             stats.hits = repo.rawStats().hits;
             stats.diskLoads = repo.diskLoads();
@@ -180,31 +182,17 @@ workerServe(int fd)
             rc = 0;
             break;
         }
-        // Normalize both work shapes into one group: a Job frame is a
-        // group of one, a JobGroup frame is a whole trace group that
-        // runs as a single batched pass.
         JobGroupMsg group;
-        if (type == Msg::Job) {
-            JobMsg job;
-            if (!decode(frame, job)) {
-                wire::writeFrame(fd,
-                                 encodeError("malformed frame from driver"));
-                break;
-            }
-            group.indices.push_back(job.index);
-            group.points.push_back(std::move(job.point));
-        } else if (type != Msg::JobGroup || !decode(frame, group)) {
+        if (type != Msg::JobGroup || !decode(frame, group)) {
             wire::writeFrame(fd, encodeError("malformed frame from driver"));
             break;
         }
         fault.onUnit(group.indices); // may exit or stall here
 
-        // All points of a group replay the same trace by construction;
-        // resolve it once through the worker's repository.  Explicit
-        // traces travel inside the frame -- each frame decodes to a
-        // fresh object, so the repository's identity-keyed decoded tier
-        // could never hit across frames; those run through the raw
-        // overload, whose blockwise decode needs only bounded scratch.
+        // Explicit traces travel inside the frame -- each frame decodes
+        // to a fresh object, so the repository's identity-keyed decoded
+        // tier could never hit across frames; those replay the raw
+        // trace, whose blockwise decode needs only bounded scratch.
         const SweepPoint &lead = group.points[0];
         bool explicitTrace = lead.workload == SweepPoint::Workload::Trace;
         if (explicitTrace && !lead.trace) {
@@ -213,51 +201,11 @@ workerServe(int fd)
                                 " carries no trace"));
             break;
         }
-        std::vector<MachineConfig> machines;
-        machines.reserve(group.points.size());
-        for (const SweepPoint &p : group.points)
-            machines.push_back(makeMachine(p.kind, p.way, p.overrides));
-
-        u64 unitStartNs = telemetry::enabled() ? telemetry::nowNs() : 0;
-        std::string leadLabel =
-            telemetry::enabled() ? lead.label() : std::string();
-
-        std::vector<RunResult> runs;
-        u64 traceLength = 0;
-        {
-            TELEMETRY_SPAN(
-                "simulate",
-                leadLabel.empty()
-                    ? std::string()
-                    : leadLabel + " simd=" +
-                          simd::pathName(
-                              simd::pathFor(group.points.size())));
-            if (setup.decoded && !explicitTrace) {
-                TraceRepository::DecodedHandle stream =
-                    repo.decoded(traceKeyFor(lead));
-                traceLength = stream.records();
-                runs = runTraceBatch(machines, stream.stream());
-            } else {
-                TraceRepository::TraceHandle trace =
-                    explicitTrace
-                        ? TraceRepository::TraceHandle(lead.trace)
-                        : repo.raw(traceKeyFor(lead));
-                traceLength = trace->size();
-                runs = runTraceBatch(machines, *trace);
-            }
-        }
-        if (telemetry::enabled()) {
-            telemetry::UnitRecord rec;
-            rec.traceHash =
-                wire::fnv1a(leadLabel.data(), leadLabel.size());
-            rec.label = leadLabel;
-            rec.points = u32(group.points.size());
-            rec.records = traceLength;
-            rec.wallNs = telemetry::nowNs() - unitStartNs;
-            rec.workerId = s32(setup.workerId);
-            rec.simd = simd::pathName(simd::pathFor(group.points.size()));
-            telemetry::Registry::instance().addUnit(std::move(rec));
-        }
+        policy.decoded = setup.decoded && !explicitTrace;
+        std::vector<u32> unit(group.points.size());
+        std::iota(unit.begin(), unit.end(), 0u);
+        std::vector<SweepResult> runs(unit.size());
+        runSweepUnit(group.points, unit, policy, runs);
 
         // kill-mid-unit: answer only half the group, then crash -- the
         // driver must reclaim and re-dispatch the missing tail.
@@ -270,8 +218,8 @@ workerServe(int fd)
             for (size_t k = 0; k < limit && sent; ++k) {
                 ResultMsg res;
                 res.index = group.indices[k];
-                res.traceLength = traceLength;
-                res.result = runs[k];
+                res.traceLength = runs[k].traceLength;
+                res.result = runs[k].result;
                 std::vector<u8> payload = encode(res);
                 if (fault.corruptThisResult())
                     payload[0] = 0x7f; // undecodable type byte

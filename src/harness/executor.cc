@@ -150,14 +150,9 @@ runSweepUnit(const std::vector<SweepPoint> &points,
              const std::vector<u32> &unit, const ExecutionPolicy &policy,
              std::vector<SweepResult> &results)
 {
-    if (!policy.batch) {
-        results[unit[0]] = runSweepPoint(points[unit[0]], policy,
-                                         policy.decoded);
-        return;
-    }
-    // One trace resolution and one trace pass for the whole group; with
+    // One trace resolution and one trace pass for the whole unit; with
     // the decoded tier on, even the decode happened at most once per
-    // process, not once per group.
+    // process, not once per unit.
     std::vector<MachineConfig> machines;
     machines.reserve(unit.size());
     for (u32 i : unit)

@@ -212,10 +212,14 @@ SweepResult runSweepPoint(const SweepPoint &point,
                           const ExecutionPolicy &policy, bool useDecoded);
 
 /**
- * Run one schedulable unit -- a whole trace group resolved and replayed
- * in a single batched pass when policy.batch, a single point otherwise
- * -- writing into the submission-order slots of @p results.  The common
- * inner loop of the Serial and ThreadPool executors.
+ * Run one schedulable unit -- points of @p points that replay one trace
+ * (a whole trace group, or a single point with batching off) -- as one
+ * trace resolution and one runTraceBatch() pass, writing into the
+ * submission-order slots of @p results.  The one inner loop of every
+ * backend: the Serial and ThreadPool executors, each process worker,
+ * and the driver's degraded mode.  Emits the unit's "simulate" span and
+ * UnitRecord when telemetry is on.  policy.batch is not consulted here;
+ * it shapes units only in buildSweepUnits().
  */
 void runSweepUnit(const std::vector<SweepPoint> &points,
                   const std::vector<u32> &unit,

@@ -78,11 +78,9 @@ struct SweepPointMirror
     SharedTrace trace;
 };
 
-struct DistStatsMirror
+struct DistStatsMirror : dist::RepoCounters
 {
-    u64 generations, hits, diskLoads, storeSaves, bytesResident, decodes,
-        decodedHits, decodedBytes;
-    std::vector<dist::WorkerTierStats> perWorker;
+    std::vector<dist::RepoCounters> perWorker;
     u64 jobsRun, jobsResumed, groupsRun, steals;
     unsigned workers;
     u64 respawns, reassignedUnits, retries, quarantinedUnits;
@@ -433,7 +431,7 @@ parseStudySpec(const std::string &text, StudySpec &spec, std::string &err)
                             "'");
             return true;
         };
-        auto parseBudgetValue = [&](u64 &out) {
+        auto parseByteSizeValue = [&](u64 &out) {
             if (!env::parseByteSize(value.c_str(), out))
                 return fail("'" + key + "' wants a byte size, got '" +
                             value + "'");
@@ -506,10 +504,10 @@ parseStudySpec(const std::string &text, StudySpec &spec, std::string &err)
                 if (!parseFlagValue(spec.exec.decoded))
                     return false;
             } else if (key == "raw_budget") {
-                if (!parseBudgetValue(spec.exec.rawBudget))
+                if (!parseByteSizeValue(spec.exec.rawBudget))
                     return false;
             } else if (key == "decoded_budget") {
-                if (!parseBudgetValue(spec.exec.decodedBudget))
+                if (!parseByteSizeValue(spec.exec.decodedBudget))
                     return false;
             } else if (key == "store") {
                 spec.exec.storeDir = value;

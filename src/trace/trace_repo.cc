@@ -150,18 +150,6 @@ TraceRepository::instance()
     return repo;
 }
 
-bool
-TraceRepository::parseBudget(const char *text, u64 &bytes)
-{
-    return env::parseByteSize(text, bytes);
-}
-
-u64
-TraceRepository::budgetFromEnv(const char *envVar)
-{
-    return env::byteSize(envVar);
-}
-
 void
 TraceRepository::attachStore(TraceStore *store)
 {

@@ -61,6 +61,7 @@
 #include <mutex>
 #include <string>
 
+#include "common/env.hh"
 #include "trace/decoded.hh"
 #include "trace/trace_store.hh"
 
@@ -83,9 +84,10 @@ class TraceRepository
      * @param rawBudgetBytes tier-1 RAM budget; 0 = unlimited.
      * @param decodedBudgetBytes tier-2 RAM budget; 0 = unlimited.
      */
-    explicit TraceRepository(TraceStore *store = nullptr,
-                             u64 rawBudgetBytes = rawBudgetFromEnv(),
-                             u64 decodedBudgetBytes = decodedBudgetFromEnv());
+    explicit TraceRepository(
+        TraceStore *store = nullptr,
+        u64 rawBudgetBytes = env::byteSize("VMMX_TRACE_CACHE_BUDGET"),
+        u64 decodedBudgetBytes = env::byteSize("VMMX_DECODED_CACHE_BUDGET"));
     ~TraceRepository();
     TraceRepository(const TraceRepository &) = delete;
     TraceRepository &operator=(const TraceRepository &) = delete;
@@ -93,21 +95,6 @@ class TraceRepository
     /** The shared per-process repository used by benches and the sweep
      *  engine.  Attaches a store iff $VMMX_TRACE_STORE is set. */
     static TraceRepository &instance();
-
-    /** Parse a "64M"/"2g"/plain-bytes budget. @return false on junk.
-     *  (Compatibility shim over env::parseByteSize, the one parser.) */
-    static bool parseBudget(const char *text, u64 &bytes);
-    /** Budget from @p envVar; 0/unset/invalid (warns) = unlimited.
-     *  (Compatibility shim over env::byteSize.) */
-    static u64 budgetFromEnv(const char *envVar);
-    static u64 rawBudgetFromEnv()
-    {
-        return budgetFromEnv("VMMX_TRACE_CACHE_BUDGET");
-    }
-    static u64 decodedBudgetFromEnv()
-    {
-        return budgetFromEnv("VMMX_DECODED_CACHE_BUDGET");
-    }
 
     /** Attach (or with nullptr detach) the persistent tier.  Not
      *  thread-safe against concurrent lookups; call before sweeping. */

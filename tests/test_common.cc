@@ -340,6 +340,8 @@ TEST(Env, EnvLookupsFallBackToDefaults)
     ::setenv("VMMX_TEST_KNOB", "sideways", 1);
     EXPECT_TRUE(env::flag("VMMX_TEST_KNOB", true));
     EXPECT_EQ(env::byteSize("VMMX_TEST_KNOB", 77), 77u);
+    ::setenv("VMMX_TEST_KNOB", "-5", 1);
+    EXPECT_EQ(env::byteSize("VMMX_TEST_KNOB", 77), 77u);
 
     if (saved)
         ::setenv("VMMX_TEST_KNOB", savedValue.c_str(), 1);

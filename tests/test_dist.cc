@@ -18,6 +18,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <tuple>
 #include <unistd.h>
 
 #include "common/logging.hh"
@@ -189,6 +190,9 @@ TEST_F(DistTest, ExplicitTracePointsCrossTheWire)
     for (size_t i = 0; i < expect.size(); ++i)
         EXPECT_TRUE(got[i].sameRun(expect[i])) << "point " << i;
     EXPECT_EQ(stats.workers, expect.size());
+    // Explicit traces arrive as fresh objects in every frame, so workers
+    // replay them raw instead of filling the identity-keyed decoded tier.
+    EXPECT_EQ(stats.decodes, 0u);
 
     // Batched: the three points are one trace group, so one JobGroup
     // frame (carrying the trace once per point encode) feeds a single
@@ -203,6 +207,50 @@ TEST_F(DistTest, ExplicitTracePointsCrossTheWire)
     EXPECT_EQ(groupStats.workers, 1u);
     EXPECT_EQ(groupStats.groupsRun, 1u);
     EXPECT_EQ(groupStats.jobsRun, expect.size());
+    EXPECT_EQ(groupStats.decodes, 0u);
+}
+
+// Every backend runs its units through runSweepUnit, so worker processes
+// and in-process threads log the same unit records (timing and worker
+// ids aside), and with batching off every point is a unit of its own.
+TEST_F(DistTest, UnitRecordsMatchAcrossBackends)
+{
+    using Key = std::tuple<std::string, u32, u64, std::string>;
+    auto drainKeys = []() {
+        std::vector<Key> keys;
+        for (const telemetry::UnitRecord &u :
+             telemetry::Registry::instance().drainUnits())
+            keys.emplace_back(u.label, u.points, u.records, u.simd);
+        std::sort(keys.begin(), keys.end());
+        // Forked workers must not inherit (and re-ship) driver spans.
+        telemetry::Tracer::instance().clear();
+        return keys;
+    };
+    auto points = gridPoints();
+    telemetry::Registry::instance().clear();
+    telemetry::Tracer::instance().clear();
+    telemetry::setEnabled(true);
+
+    ExecutionPolicy threads = ExecutionPolicy::fromEnv();
+    threads.threads = 2;
+    threads.repo = &serialRepo_;
+    runPoints(points, threads);
+    std::vector<Key> local = drainKeys();
+
+    runPoints(points, procPolicy());
+    std::vector<Key> remote = drainKeys();
+
+    ExecutionPolicy unbatched = threads;
+    unbatched.batch = false;
+    runPoints(points, unbatched);
+    std::vector<Key> single = drainKeys();
+    telemetry::setEnabled(false);
+
+    EXPECT_EQ(local.size(), 12u);
+    EXPECT_EQ(remote, local);
+    EXPECT_EQ(single.size(), points.size());
+    for (const Key &k : single)
+        EXPECT_EQ(std::get<1>(k), 1u) << std::get<0>(k);
 }
 
 // The PR-3 acceptance test: with batching on (the default), the driver

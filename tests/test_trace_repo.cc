@@ -333,25 +333,6 @@ TEST_F(TraceRepoTest, AdoptedExplicitTraceSharesOneDecode)
     EXPECT_EQ(repo.decodes(), 2u);
 }
 
-TEST_F(TraceRepoTest, BudgetFromEnvParsesSuffixes)
-{
-    for (const char *var :
-         {"VMMX_TRACE_CACHE_BUDGET", "VMMX_DECODED_CACHE_BUDGET"}) {
-        ::setenv(var, "64M", 1);
-        EXPECT_EQ(TraceRepository::budgetFromEnv(var), 64ull << 20);
-        ::setenv(var, "2g", 1);
-        EXPECT_EQ(TraceRepository::budgetFromEnv(var), 2ull << 30);
-        ::setenv(var, "4096", 1);
-        EXPECT_EQ(TraceRepository::budgetFromEnv(var), 4096ull);
-        ::setenv(var, "potato", 1);
-        EXPECT_EQ(TraceRepository::budgetFromEnv(var), 0u);
-        ::setenv(var, "-5", 1);
-        EXPECT_EQ(TraceRepository::budgetFromEnv(var), 0u);
-        ::unsetenv(var);
-        EXPECT_EQ(TraceRepository::budgetFromEnv(var), 0u);
-    }
-}
-
 // The ISSUE acceptance test: a randomized ablation grid swept with a
 // 1-byte decoded budget (set through the environment, as CI does) is
 // bit-identical to the unbounded sweep -- constant eviction and

@@ -416,14 +416,27 @@ TEST_F(WireTest, ProtocolMessagesRoundTrip)
     EXPECT_EQ(setup2.cacheBudget, setup.cacheBudget);
     EXPECT_EQ(setup2.quiet, setup.quiet);
 
-    dist::JobMsg job;
-    job.index = 0xfffffffe;
-    job.point.name = "motion2";
-    job.point.way = 16;
-    dist::JobMsg job2;
-    ASSERT_TRUE(dist::decode(dist::encode(job), job2));
-    EXPECT_EQ(job2.index, job.index);
-    EXPECT_EQ(job2.point.label(), job.point.label());
+    // A single point crosses the wire as a group of one.
+    dist::JobGroupMsg group;
+    group.indices = {0xfffffffe};
+    group.points.resize(1);
+    group.points[0].name = "motion2";
+    group.points[0].way = 16;
+    dist::JobGroupMsg group2;
+    ASSERT_TRUE(dist::decode(dist::encode(group), group2));
+    EXPECT_EQ(group2.indices, group.indices);
+    ASSERT_EQ(group2.points.size(), 1u);
+    EXPECT_EQ(group2.points[0].label(), group.points[0].label());
+
+    dist::RepoCounters stats;
+    stats.storeSaves = 5;
+    stats.decodedBytes = ~0ull;
+    dist::RepoCounters stats2;
+    ASSERT_TRUE(dist::decode(dist::encode(stats), stats2));
+    EXPECT_EQ(stats2.storeSaves, 5u);
+    EXPECT_EQ(stats2.decodedBytes, ~0ull);
+    stats2 += stats;
+    EXPECT_EQ(stats2.storeSaves, 10u);
 
     dist::ResultMsg res;
     res.index = 7;
@@ -436,7 +449,7 @@ TEST_F(WireTest, ProtocolMessagesRoundTrip)
     EXPECT_TRUE(res2.result == res.result);
 
     // Wrong-type decodes must fail, not misparse.
-    EXPECT_FALSE(dist::decode(dist::encode(res), job2));
+    EXPECT_FALSE(dist::decode(dist::encode(res), group2));
     std::string what;
     ASSERT_TRUE(dist::decodeError(dist::encodeError("boom"), what));
     EXPECT_EQ(what, "boom");

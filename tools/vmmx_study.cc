@@ -76,7 +76,8 @@ printDistReport(std::ostream &os, const dist::DistStats &stats,
         const auto &w = stats.perWorker[wi];
         os << "dist-worker " << wi << ": " << w.generations
            << " generations, " << w.hits << " raw hits, " << w.diskLoads
-           << " disk loads, " << w.decodes << " decodes, " << w.decodedHits
+           << " disk loads, " << w.storeSaves << " store saves, "
+           << w.decodes << " decodes, " << w.decodedHits
            << " decoded hits, " << w.bytesResident / 1024 << " KiB raw + "
            << w.decodedBytes / 1024 << " KiB decoded resident\n";
     }
