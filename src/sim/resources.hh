@@ -20,9 +20,10 @@
  * still in flight.
  *
  * The SoA batch kernels (sim/sim_batch.hh) keep their own lane-parallel
- * copies of the gates, pools and issue queue; the serial models here are
- * the oracle those copies must match.  The free lists and the store
- * window are shared: the batch calls into each lane's own instance.
+ * copies of the gates, pools and issue queue, and replace the free lists
+ * with commit-cycle histories; the serial models here are the oracle
+ * those copies must match.  Only the store window is shared: the batch
+ * calls into each lane's own instance.
  */
 
 #ifndef VMMX_SIM_RESOURCES_HH
@@ -163,6 +164,11 @@ class IssueQueueModel
  * monotone head/tail counters replaces the priority queue bit for bit.
  * At most total physical registers can be awaiting release, bounding
  * the ring occupancy.
+ *
+ * This is the serial model.  The SoA batch kernel does not call it: it
+ * keeps one release-cycle history per class shared by all lanes plus a
+ * per-lane harvest floor, which SimBatch's comment proves equal to this
+ * FIFO allocation for allocation.
  */
 class RegFreeList
 {

@@ -1,11 +1,42 @@
 #include "sim/sim_batch.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/logging.hh"
 
 namespace vmmx
 {
+
+namespace
+{
+
+/** History rows for a per-lane read distance: the next power of two
+ *  at or above the widest lane's distance. */
+size_t
+historyRows(size_t lanes, const std::vector<u64> &dist)
+{
+    u64 widest = 1;
+    for (size_t l = 0; l < lanes; ++l)
+        widest = std::max(widest, dist[l]);
+    return std::bit_ceil(widest);
+}
+
+/** Registers of class @p cls free at reset, in the order SimContext
+ *  builds its free lists (Int, Fp, Simd, Acc). */
+u64
+freeAtReset(const CoreParams &p, size_t cls)
+{
+    const unsigned phys[numRegClasses] = {p.physInt, p.physFp, p.physSimd,
+                                          p.physAcc};
+    const unsigned logical[numRegClasses] = {p.logicalInt, p.logicalFp,
+                                             p.logicalSimd, p.logicalAcc};
+    vmmx_assert(phys[cls] > logical[cls],
+                "physical registers must exceed logical registers");
+    return phys[cls] - logical[cls];
+}
+
+} // namespace
 
 SimBatch::SimBatch(std::span<SimContext *const> ctxs)
 {
@@ -28,7 +59,6 @@ SimBatch::SimBatch(std::span<SimContext *const> ctxs)
     zeroed(lastCommit);
     zeroed(iqCap);
     zeroed(iqOcc);
-    zeroed(robPos);
     zeroed(robSize);
     zeroed(stallRob);
     zeroed(stallIq);
@@ -43,12 +73,12 @@ SimBatch::SimBatch(std::span<SimContext *const> ctxs)
     zeroed(cc);
     zeroed(occ);
     zeroed(robFree);
+    zeroed(regFree);
     zeroed(t0);
     zeroed(t1);
 
     regReady.assign(decodedReadySlots * padded, 0);
     lanesOcc.assign(17 * padded, 0);
-    robRing.assign(padded, nullptr);
 
     size_t maxIq = 0, maxInt = 0, maxFp = 0, maxSimd = 0, maxIssue = 0;
     for (size_t l = 0; l < lanes; ++l) {
@@ -91,12 +121,25 @@ SimBatch::SimBatch(std::span<SimContext *const> ctxs)
         iqCap[l] = p.iqSize;
         for (size_t vl = 0; vl < sc.lanesOcc_.size(); ++vl)
             lanesOcc[vl * padded + l] = sc.lanesOcc_[vl];
-        robRing[l] = sc.robRing_.data();
-        robPos[l] = sc.robPos_;
-        robSize[l] = sc.robRing_.size();
+        robSize[l] = p.robSize;
         if (p.bpredEntries != ctx[0]->params().bpredEntries)
             bpredShared = false;
     }
+    robMask = historyRows(lanes, robSize) - 1;
+    robHist.assign((robMask + 1) * padded, 0);
+
+    // freeAtReset() rules out F == 0, the only way the FIFO model's
+    // "rename deadlock" (no free register and none in flight) can occur.
+    for (size_t cls = 0; cls < numRegClasses; ++cls) {
+        RegHistory &rh = regHist[cls];
+        rh.free.assign(padded, 0);
+        rh.floor.assign(padded, 0);
+        for (size_t l = 0; l < lanes; ++l)
+            rh.free[l] = freeAtReset(ctx[l]->params(), cls);
+        rh.mask = historyRows(lanes, rh.free) - 1;
+        rh.hist.assign((rh.mask + 1) * padded, 0);
+    }
+
     // Pad lanes ride along in every vector op but are never read back;
     // give them a benign gate width so their state stays small.
     for (size_t l = lanes; l < padded; ++l)
@@ -109,8 +152,6 @@ SimBatch::finish()
     for (size_t l = 0; l < lanes; ++l) {
         SimContext &sc = *ctx[l];
         sc.lastCommit_ = lastCommit[l];
-        sc.fetchRedirect_ = redirect[l];
-        sc.robPos_ = u32(robPos[l]);
         RunStats &st = sc.stats_;
         st.instructions = instructions;
         st.branches = branches;

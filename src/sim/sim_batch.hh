@@ -30,22 +30,54 @@
  *    for full lanes can stop at the widest full lane's capacity; rows
  *    come in multiples of 4 for the kernel's four-way interleaved scan.
  *
+ * The ROB and the register free lists are commit-cycle histories,
+ * slot-major like the tables above, so rename reads them and commit
+ * writes them without calling into any context:
+ *  - ROB: row n & robMask holds the commit cycle of record n (records
+ *    are counted by `instructions`, identical on every lane).  Record n
+ *    on lane l needs record n - robSize[l] committed, which is row
+ *    (n - robSize[l]) & robMask: exactly the entry the lane's ring
+ *    would hold at its cursor.  There are at least robSize[l] rows, so
+ *    the rows between were written since and none overwrote it; while
+ *    n < robSize[l] the row index lands in [n, rows), a row no record
+ *    has written yet, holding the 0 the ring starts with.
+ *  - Free lists: one history per register class, row k & mask holding
+ *    the commit cycle of the class's k-th destination, i.e. the k-th
+ *    release (each destination frees its predecessor's register when
+ *    it commits).  k is trace-determined, so it too is shared by every
+ *    lane.  Why this reproduces RegFreeList's FIFO: with F = phys -
+ *    logical free at reset and k allocations made, allocation k finds
+ *    a register iff release k - F has been harvested (releases are
+ *    harvested in order, and every earlier allocation succeeded, so
+ *    exactly k - F are harvested when it has not).  The FIFO harvests
+ *    only inside allocate(), at the cycle it was asked for or stalled
+ *    to; release j's cycle exceeds every allocation cycle up to j (it
+ *    commits after renaming, commits are in order), so release k - F
+ *    was harvested before allocation k iff some earlier allocation of
+ *    the class reached its cycle -- iff the lane's floor h (the highest
+ *    allocation cycle so far) does.  Otherwise allocation k waits for
+ *    it: want = H[k - F] stalls iff want > max(h, rn), and h = max(h,
+ *    rn) afterwards.  For k < F the row index lands on a row not yet
+ *    written (0), so the first F allocations never stall.
+ *
  * What stays scalar per lane -- the data-dependent tails vectorization
- * cannot reach: free-list FIFO bookkeeping, memory-system accesses and
- * store-window disambiguation (each lane's own StoreWindow, which keeps
- * only stores still in flight past the lane's rename cycle, so a load
- * walks a handful of entries), branch-predictor updates (skipped for
- * lanes 1..N-1 when every lane has the same predictor geometry, since
- * prediction inputs are trace-determined and the tables then evolve
- * identically), and the O(1) writebacks after each vector min scan.
- * These go through the inline helpers below, which reach into the
+ * cannot reach: the history reads above (each lane reads its own row),
+ * memory-system accesses and store-window disambiguation (each lane's
+ * own StoreWindow, which keeps only stores still in flight past the
+ * lane's rename cycle, so a load walks a handful of entries),
+ * branch-predictor updates (skipped for lanes 1..N-1 when every lane
+ * has the same predictor geometry, since prediction inputs are
+ * trace-determined and the tables then evolve identically), and the
+ * O(1) writebacks after each vector min scan.  The memory and predictor
+ * tails go through the inline helpers below, which reach into the
  * borrowed SimContexts (SimBatch is a friend).
  *
  * Statistics that are trace-determined (instruction, branch, mem-op
  * and class counts -- identical for every lane by construction) are
  * accumulated once per batch and fanned out in finish(), which writes
- * every lane's results back into its SimContext so finish()/collect()
- * work exactly as on the serial path.
+ * every lane's results back into its SimContext so SimContext::finish()
+ * returns exactly what the serial path would.  Nothing else is written
+ * back: the contexts' pipeline state is stale after a batched run.
  */
 
 #ifndef VMMX_SIM_SIM_BATCH_HH
@@ -73,9 +105,9 @@ struct SimBatch
     /** Hoist the (freshly reset) contexts into SoA form. */
     explicit SimBatch(std::span<SimContext *const> ctxs);
 
-    /** Write every lane's results back into its SimContext (stats,
-     *  commit frontier, ROB head) so SimContext::finish() returns the
-     *  same RunStats the serial path would. */
+    /** Write every lane's results back into its SimContext (stats and
+     *  commit frontier) so SimContext::finish() returns the same
+     *  RunStats the serial path would. */
     void finish();
 
     size_t lanes = 0;  ///< live configurations
@@ -122,9 +154,21 @@ struct SimBatch
     };
     Pool intPool, fpPool, simdPool, simdIssuePool;
 
-    // ---- ROB ring (storage stays inside each context) ----
-    std::vector<Cycle *> robRing;
-    std::vector<u64> robPos, robSize;
+    // ---- ROB commit history (slot-major) ----
+    size_t robMask = 0;      ///< rows - 1; rows = pow2 >= widest robSize
+    std::vector<u64> robSize; ///< per-lane ROB entries
+    std::vector<u64> robHist;
+
+    // ---- register free-list commit histories, one per class ----
+    struct RegHistory
+    {
+        size_t mask = 0;         ///< rows - 1; rows = pow2 >= widest free
+        u64 count = 0;           ///< destinations renamed so far (k)
+        std::vector<u64> free;   ///< per lane F = phys - logical
+        std::vector<u64> floor;  ///< per lane h, highest allocation cycle
+        std::vector<u64> hist;   ///< release cycles, slot-major
+    };
+    std::array<RegHistory, numRegClasses> regHist;
 
     // ---- per-lane statistics ----
     std::vector<u64> stallRob, stallIq, stallRegs, mispredicts;
@@ -140,21 +184,12 @@ struct SimBatch
     bool bpredShared = false;
 
     // ---- per-record scratch, padded like the state arrays ----
-    std::vector<u64> rn, ready, issue, done, cc, occ, robFree, t0, t1;
+    /** robFree and regFree hold history reads, which fill live lanes
+     *  only; their pad lanes stay 0. */
+    std::vector<u64> rn, ready, issue, done, cc, occ, robFree, regFree, t0,
+        t1;
 
     // ---- scalar sub-phases reaching into the borrowed contexts ----
-
-    Cycle
-    flAllocate(size_t l, u8 cls, Cycle c)
-    {
-        return ctx[l]->freeLists_[cls].allocate(c);
-    }
-
-    void
-    flRelease(size_t l, u8 cls, Cycle commitCycle)
-    {
-        ctx[l]->freeLists_[cls].release(commitCycle);
-    }
 
     bool
     predictLane(size_t l, u32 staticId, bool taken)

@@ -56,8 +56,10 @@ namespace vmmx
 class SimContext
 {
     /** The SoA batch view (sim/sim_batch.hh) hoists this context's hot
-     *  state into lane arrays and reaches back in for the scalar
-     *  sub-phases (free lists, memory, predictor, ROB ring). */
+     *  state into lane arrays, keeps its own ROB and free-list
+     *  histories, and reaches back in only for the scalar sub-phases
+     *  (memory system, store window, predictor) and to write the
+     *  results finish() reads. */
     friend struct SimBatch;
 
   public:
@@ -71,7 +73,11 @@ class SimContext
     /** Advance by one instruction of the shared decoded stream. */
     void step(const DecodedInst &inst);
 
-    /** Finish the run: stamp the cycle total and return the stats. */
+    /** Finish the run: stamp the cycle total and return the stats.
+     *  After a batched runBatch() these results are the only meaningful
+     *  state: the batch steps its own SoA copy of the pipeline and
+     *  writes back nothing else, so the gates, queues, free lists and
+     *  ROB ring here are stale until the next reset(). */
     RunStats finish();
 
     const CoreParams &params() const { return params_; }

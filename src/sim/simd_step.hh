@@ -288,6 +288,20 @@ minScan4(const u64 *slots, size_t P, size_t c, size_t rows,
 }
 
 /**
+ * One lane-parallel read of a slot-major commit history (SimBatch's
+ * ROB and free-list histories): lane l gets the row @p dist[l] records
+ * behind record @p n, out[l] = hist[((n - dist[l]) & mask) * P + l].
+ * Rows differ per lane, so this is a scalar loop.
+ */
+inline void
+historyRead(const u64 *hist, size_t mask, size_t P, size_t L, u64 n,
+            const u64 *dist, u64 *out)
+{
+    for (size_t l = 0; l < L; ++l)
+        out[l] = hist[((n - dist[l]) & mask) * P + l];
+}
+
+/**
  * Advance every lane of @p b through @p n decoded records.  The phase
  * order is SimContext::step()'s, record for record; trace-determined
  * branches (FU type, flags, operand lists) are taken once per record
@@ -315,8 +329,9 @@ stepBlockT(SimBatch &b, const DecodedInst *insts, size_t n)
         }
 
         // ---- ROB space ----
-        for (size_t l = 0; l < L; ++l)
-            b.robFree[l] = b.robRing[l][b.robPos[l]];
+        const u64 seq = b.instructions;
+        historyRead(b.robHist.data(), b.robMask, P, L, seq,
+                    b.robSize.data(), b.robFree.data());
         for (size_t c = 0; c < P; c += V::W) {
             auto rnV = V::load(&b.rn[c]);
             auto rf1 = V::add(V::load(&b.robFree[c]), one);
@@ -360,13 +375,21 @@ stepBlockT(SimBatch &b, const DecodedInst *insts, size_t n)
         }
 
         // ---- physical destination register ----
+        SimBatch::RegHistory *rh =
+            hasDst ? &b.regHist[inst.dstCls] : nullptr;
         if (hasDst) {
-            for (size_t l = 0; l < L; ++l) {
-                Cycle r = b.flAllocate(l, inst.dstCls, b.rn[l]);
-                if (r > b.rn[l]) {
-                    b.rn[l] = r;
-                    ++b.stallRegs[l];
-                }
+            historyRead(rh->hist.data(), rh->mask, P, L, rh->count,
+                        rh->free.data(), b.regFree.data());
+            for (size_t c = 0; c < P; c += V::W) {
+                auto rnV = V::load(&b.rn[c]);
+                auto h = V::load(&rh->floor[c]);
+                auto want = V::load(&b.regFree[c]);
+                auto st = V::gtU(want, V::max(h, rnV));
+                rnV = V::blend(st, want, rnV);
+                V::store(&b.rn[c], rnV);
+                V::store(&rh->floor[c], V::max(h, rnV));
+                V::store(&b.stallRegs[c],
+                         V::addWhere(V::load(&b.stallRegs[c]), st));
             }
         }
 
@@ -508,16 +531,23 @@ stepBlockT(SimBatch &b, const DecodedInst *insts, size_t n)
             V::store(&cyc[c], V::add(V::load(&cyc[c]), V::sub(ccV, lc)));
         }
 
+        // Free the previous mapping of the destination's logical
+        // register: the class's release k is this commit.  Release 0's
+        // "previous" row has not been written yet and holds 0.
         if (hasDst) {
+            const u64 rel = rh->count++;
+            u64 *row = &rh->hist[(rel & rh->mask) * P];
+            const u64 *prev = &rh->hist[((rel - 1) & rh->mask) * P];
             for (size_t l = 0; l < L; ++l)
-                b.flRelease(l, inst.dstCls, b.cc[l]);
+                vmmx_assert(b.cc[l] >= prev[l],
+                            "free-list releases must be in commit order");
+            for (size_t c = 0; c < P; c += V::W)
+                V::store(&row[c], V::load(&b.cc[c]));
         }
 
-        for (size_t l = 0; l < L; ++l) {
-            b.robRing[l][b.robPos[l]] = b.cc[l];
-            if (++b.robPos[l] == b.robSize[l])
-                b.robPos[l] = 0;
-        }
+        u64 *robRow = &b.robHist[(seq & b.robMask) * P];
+        for (size_t c = 0; c < P; c += V::W)
+            V::store(&robRow[c], V::load(&b.cc[c]));
 
         ++b.instructions;
         ++b.instByClass[inst.clsIdx];

@@ -7,6 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <vector>
+
 #include "harness/runner.hh"
 #include "common/rng.hh"
 #include "sim/bpred.hh"
@@ -215,6 +219,108 @@ TEST(Resources, RegFreeListReleases)
     EXPECT_EQ(fl.allocate(0), 0u);
     fl.release(20);
     EXPECT_EQ(fl.allocate(5), 20u); // must wait for the release
+}
+
+/** The SoA batch's free-list rule for one lane, transcribed scalar:
+ *  a history of release cycles indexed by the class's destination
+ *  count k (@p rows at least @p free, as wide as the widest lane of a
+ *  batch would make it), plus the floor h of the highest allocation
+ *  cycle so far.  Allocation k waits for release k - free unless the
+ *  floor or the request already reaches it. */
+class FreeListHistoryRef
+{
+  public:
+    FreeListHistoryRef(u64 free, size_t rows)
+        : free_(free), hist_(rows, 0), mask_(rows - 1)
+    {}
+
+    Cycle allocate(Cycle rn, bool &stalled)
+    {
+        Cycle want = hist_[(count_ - free_) & mask_];
+        stalled = want > std::max(floor_, rn);
+        if (stalled)
+            rn = want;
+        floor_ = std::max(floor_, rn);
+        return rn;
+    }
+
+    void release(Cycle cc) { hist_[count_++ & mask_] = cc; }
+
+  private:
+    u64 free_;
+    std::vector<Cycle> hist_;
+    u64 mask_;
+    u64 count_ = 0;
+    Cycle floor_ = 0;
+};
+
+// The history rule against the FIFO free list it replaces in the batch
+// kernel: seeded sequences where request cycles move up and down (fetch
+// is not back-pressured by register stalls, so a later rename can ask
+// below an earlier allocation) and commit cycles never decrease and
+// follow their own allocation, as the timing core guarantees.  Every
+// allocation cycle and the stall count must agree.
+TEST(Resources, FreeListHistoryMatchesFifo)
+{
+    u64 stallsSeen = 0;
+    for (u64 free = 1; free <= 40; ++free) {
+        for (size_t widen : {size_t(1), size_t(4)}) {
+            for (u64 seed = 1; seed <= 8; ++seed) {
+                Rng rng(seed * 0x9e3779b97f4a7c15ull + free);
+                RegFreeList fifo(unsigned(32 + free), 32);
+                FreeListHistoryRef hist(free,
+                                        std::bit_ceil(free) * widen);
+                u64 fifoStalls = 0, histStalls = 0;
+                Cycle base = 0, lastCommit = 0;
+                for (int op = 0; op < 3000; ++op) {
+                    base += rng.below(3);
+                    Cycle rn = base + rng.below(40);
+                    Cycle a = fifo.allocate(rn);
+                    fifoStalls += a > rn;
+                    bool stalled = false;
+                    ASSERT_EQ(hist.allocate(rn, stalled), a)
+                        << "free " << free << " seed " << seed << " op "
+                        << op;
+                    histStalls += stalled;
+                    lastCommit =
+                        std::max(lastCommit, a + 1 + rng.below(60));
+                    fifo.release(lastCommit);
+                    hist.release(lastCommit);
+                }
+                EXPECT_EQ(histStalls, fifoStalls)
+                    << "free " << free << " seed " << seed;
+                stallsSeen += fifoStalls;
+            }
+        }
+    }
+    EXPECT_GT(stallsSeen, 0u);
+}
+
+// The batch's ROB history against the per-context ring it replaces:
+// record n reads row (n - robSize) & mask of a power-of-two history as
+// wide as the batch's widest ROB, which must be the commit cycle the
+// ring holds at its cursor -- 0 until robSize records have committed.
+TEST(Resources, RobHistoryMatchesRing)
+{
+    for (size_t robSize : {1u, 3u, 16u, 24u, 48u, 100u}) {
+        for (size_t rows : {std::bit_ceil(robSize), size_t(128)}) {
+            Rng rng(robSize * 131 + rows);
+            std::vector<Cycle> ring(robSize, 0);
+            size_t pos = 0;
+            std::vector<Cycle> hist(rows, 0);
+            Cycle cc = 0;
+            for (u64 n = 0; n < 2000; ++n) {
+                ASSERT_EQ(hist[(n - robSize) & (rows - 1)], ring[pos])
+                    << "rob " << robSize << " rows " << rows << " n "
+                    << n;
+                cc += rng.below(4);
+                hist[n & (rows - 1)] = cc;
+                ring[pos] = cc;
+                if (++pos == robSize)
+                    pos = 0;
+            }
+        }
+    }
 }
 
 /** The store window as it stood before StoreWindow: a fixed ring of

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/rng.hh"
 #include "common/saturate.hh"
 #include "emu/accum.hh"
@@ -224,7 +226,9 @@ TEST_P(PackedWidth, MinMaxAvg)
 
 INSTANTIATE_TEST_SUITE_P(Widths, PackedWidth, testing::Values(8u, 16u),
                          [](const auto &tpi) {
-                             return "w" + std::to_string(tpi.param);
+                             std::string name = std::to_string(tpi.param);
+                             name.insert(name.begin(), 'w');
+                             return name;
                          });
 
 TEST(Accumulator, SadAccumulates)

@@ -158,7 +158,7 @@ randomMachine(std::mt19937 &rng, SimdKind kind)
     unsigned way = unsigned(pick({2, 4, 8}));
     Config knobs;
     if (rng() % 2)
-        knobs.set("core.rob", pick({16, 32, 64, 128}));
+        knobs.set("core.rob", pick({16, 24, 32, 48, 64, 100, 128}));
     if (rng() % 2)
         knobs.set("core.iq", pick({5, 8, 13, 16, 32, 64}));
     if (rng() % 2)
@@ -173,6 +173,10 @@ randomMachine(std::mt19937 &rng, SimdKind kind)
         knobs.set("mem.mshrs", pick({2, 8}));
     if (rng() % 2)
         knobs.set("mem.l1.size", pick({16 * 1024, 32 * 1024}));
+    // Barely above the 32 logical SIMD registers of the 1-D flavours:
+    // frequent register stalls, and a different free count per lane.
+    if (rng() % 2)
+        knobs.set("core.phys_simd", pick({33, 34, 36, 40, 64}));
     return makeMachine(kind, way, knobs);
 }
 
@@ -211,6 +215,38 @@ TEST_F(SimdTest, EveryRunnablePathBitIdenticalToSerial)
                 }
             }
         }
+    }
+}
+
+// The SoA kernel's ROB and free-list histories have a power-of-two row
+// count at or above the widest lane's read distance.  With ROB sizes
+// that are not powers of two, no lane -- the widest included -- reads
+// at a distance equal to the row count, and with few spare SIMD
+// registers the free-list history is read on almost every rename.
+TEST_F(SimdTest, NonPowerOfTwoHistoriesBitIdentical)
+{
+    auto trace = repo.kernel("idct", SimdKind::MMX64);
+    std::vector<MachineConfig> machines;
+    for (s64 rob : {24, 48, 100}) {
+        for (s64 phys : {33, 40}) {
+            Config knobs;
+            knobs.set("core.rob", rob);
+            knobs.set("core.phys_simd", phys);
+            machines.push_back(makeMachine(SimdKind::MMX64, 8, knobs));
+        }
+    }
+
+    std::vector<RunResult> expect;
+    for (const MachineConfig &m : machines)
+        expect.push_back(runTrace(m, *trace));
+
+    for (simd::Path path : runnablePaths()) {
+        ASSERT_EQ(simd::setActivePath(path), "");
+        auto got = runTraceBatch(machines, *trace);
+        ASSERT_EQ(got.size(), expect.size());
+        for (size_t i = 0; i < expect.size(); ++i)
+            EXPECT_TRUE(got[i] == expect[i])
+                << simd::pathName(path) << " config " << i;
     }
 }
 

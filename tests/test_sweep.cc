@@ -277,7 +277,7 @@ randomMachine(std::mt19937 &rng, SimdKind kind)
     unsigned way = unsigned(pick({2, 4, 8}));
     Config knobs;
     if (rng() % 2)
-        knobs.set("core.rob", pick({16, 32, 64, 128}));
+        knobs.set("core.rob", pick({16, 24, 32, 48, 64, 100, 128}));
     if (rng() % 2)
         knobs.set("core.iq", pick({5, 8, 13, 16, 32, 64}));
     if (rng() % 2)
@@ -292,6 +292,10 @@ randomMachine(std::mt19937 &rng, SimdKind kind)
         knobs.set("mem.mshrs", pick({2, 8}));
     if (rng() % 2)
         knobs.set("mem.l1.size", pick({16 * 1024, 32 * 1024}));
+    // Barely above the 32 logical SIMD registers of the 1-D flavours:
+    // frequent register stalls, and a different free count per lane.
+    if (rng() % 2)
+        knobs.set("core.phys_simd", pick({33, 34, 36, 40, 64}));
     return makeMachine(kind, way, knobs);
 }
 
