@@ -1,26 +1,30 @@
 /**
  * @file
  * Simulator-core throughput bench: instructions stepped per second,
- * reported per host-SIMD step-kernel path and per batch width instead
- * of the old google-benchmark aggregate wall time -- the interesting
- * axis is how throughput scales as one trace pass advances more
- * configurations, and which step kernel (fused serial, SoA scalar,
- * SSE2, AVX2, AVX-512) is doing the stepping.
+ * reported per host-SIMD step-kernel path and per batch width -- the
+ * interesting axis is how throughput scales as one trace pass advances
+ * more configurations, and which step kernel (fused serial, SoA scalar,
+ * AVX2, AVX-512) is doing the stepping.
  *
- * Three sections, all min-of-reps and bit-identity-checked against the
+ * Four sections; the last two are bit-identity-checked against the
  * fused serial oracle:
  *
  *   simulate  : single-configuration runTrace() across flavours and
  *               machine widths (the classic per-config number);
  *   tracegen  : trace generation itself, cache bypassed on purpose;
- *   batched   : the headline grid -- every runnable step-kernel path
- *               x batch widths {1, 2, 4, 8, 12}, each timed on the
- *               same pre-decoded rgb stream.  Width 1 always takes
- *               the fused serial step (the dispatch rule), so its row
- *               is identical across paths and printed once.
+ *   batched   : every runnable step-kernel path x batch widths
+ *               {1, 2, 4, 8, 12}, each timed on the same pre-decoded
+ *               rgb stream.  Width 1 always takes the fused serial step
+ *               (the dispatch rule), so its row is identical across
+ *               paths and printed once;
+ *   gate      : the host-SIMD 2x gate on a 12-config group of the same
+ *               stream -- the best vector path must at least double the
+ *               scalar SoA reference's points/s, as the median of
+ *               per-rep ratios with the two timed back to back in each
+ *               rep.
  *
- * Everything lands in BENCH_sim_throughput.json as
- * sim.<path>.w<width>.instsPerSec rows for CI trend tracking.
+ * Exits nonzero on any mismatch against the oracle and when the gate
+ * fails; the gate is skipped only when no vector path is runnable.
  */
 
 #include <algorithm>
@@ -28,6 +32,7 @@
 
 #include "bench_util.hh"
 #include "sim/simd_dispatch.hh"
+#include "trace/decoded.hh"
 
 using namespace vmmx;
 using namespace vmmx::bench;
@@ -45,6 +50,26 @@ seconds(clock_t_::time_point a, clock_t_::time_point b)
 
 constexpr int reps = 3;
 
+/** Paths this binary can execute here, narrowest first. */
+std::vector<simd::Path>
+runnablePaths()
+{
+    u32 usable = simd::compiledMask() & simd::supportedMask();
+    std::vector<simd::Path> paths;
+    for (unsigned ord = 0; ord < simd::numPaths; ++ord)
+        if (usable & (u32(1) << ord))
+            paths.push_back(simd::Path(ord));
+    return paths;
+}
+
+void
+pin(simd::Path path)
+{
+    std::string err = simd::setActivePath(path);
+    if (!err.empty())
+        panic("pinning %s: %s", simd::pathName(path), err.c_str());
+}
+
 } // namespace
 
 int
@@ -53,7 +78,6 @@ main()
     setQuiet(true);
     telemetry::setEnabled(false);
 
-    PerfRecord rec("sim_throughput");
     bool identical = true;
 
     // ---- simulate: single-config runTrace across flavours/widths -----
@@ -85,9 +109,6 @@ main()
                                 std::to_string(c.way) + "-way";
             table.addRow({label, std::to_string(trace.size()),
                           TextTable::num(t, 4), TextTable::num(ips, 0)});
-            rec.metric("simulate." + std::string(name(c.kind)) + ".w" +
-                           std::to_string(c.way) + ".instsPerSec",
-                       ips);
         }
         table.print(std::cout);
         std::cout << '\n';
@@ -115,26 +136,24 @@ main()
             double ips = double(records) / t;
             table.addRow({name(kind), std::to_string(records),
                           TextTable::num(t, 4), TextTable::num(ips, 0)});
-            rec.metric("tracegen." + std::string(name(kind)) +
-                           ".instsPerSec",
-                       ips);
         }
         table.print(std::cout);
         std::cout << '\n';
     }
 
+    // The rgb trace is the longest kernel trace, so each timed pass is
+    // milliseconds, not microseconds.  Both sections below replay it
+    // pre-decoded, so the only variable is the step kernel.
+    const DecodedStream stream =
+        decodeStream(kernelTrace("rgb", SimdKind::VMMX128));
+    const u64 records = stream.size();
+
     // ---- batched: step-kernel path x batch width ---------------------
     // Lane-instructions per second: one pass over W configs steps
     // trace.size() * W lane-instructions.  A fixed knob spread keeps
-    // every lane's timing state distinct (no accidental uniformity).
-    // The rgb trace is the longest kernel trace, so each timed pass is
-    // milliseconds, not microseconds; passes > 1 steadies the short
-    // narrow-batch rows further.
+    // every lane's timing state distinct (no accidental uniformity);
+    // passes > 1 steadies the short narrow-batch rows.
     {
-        TraceRepository repo(nullptr, 0, 0);
-        auto trace = repo.kernel("rgb", SimdKind::VMMX128);
-        auto stream = repo.decoded(trace.shared());
-        const u64 records = stream.records();
         constexpr int passes = 3;
 
         const std::vector<size_t> widths = {1, 2, 4, 8, 12};
@@ -154,7 +173,7 @@ main()
         std::map<size_t, std::vector<RunResult>> oracle;
         for (size_t w : widths)
             for (const MachineConfig &m : machinesFor(w))
-                oracle[w].push_back(runTrace(m, stream.stream()));
+                oracle[w].push_back(runTrace(m, stream));
 
         TextTable table({"step kernel", "batch", "wall s",
                          "lane-insts/s", "vs serial"});
@@ -167,7 +186,7 @@ main()
                 auto t0 = clock_t_::now();
                 std::vector<RunResult> runs;
                 for (int it = 0; it < passes; ++it)
-                    runs = runTraceBatch(ms, stream.stream());
+                    runs = runTraceBatch(ms, stream);
                 tSerial1 = std::min(tSerial1,
                                     seconds(t0, clock_t_::now()));
                 if (!(runs[0] == oracle[1][0]))
@@ -177,18 +196,10 @@ main()
             table.addRow({"serial fused", "1", TextTable::num(tSerial1, 4),
                           TextTable::num(double(records) / tSerial1, 0),
                           TextTable::num(1.0)});
-            rec.metric("sim.serial.w1.instsPerSec",
-                       double(records) / tSerial1);
         }
 
-        u32 usable = simd::compiledMask() & simd::supportedMask();
-        for (unsigned ord = 0; ord < simd::numPaths; ++ord) {
-            if (!(usable & (u32(1) << ord)))
-                continue;
-            simd::Path path = simd::Path(ord);
-            std::string err = simd::setActivePath(path);
-            if (!err.empty())
-                panic("pinning %s: %s", simd::pathName(path), err.c_str());
+        for (simd::Path path : runnablePaths()) {
+            pin(path);
             for (size_t w : widths) {
                 if (w < 2)
                     continue; // the shared serial row above
@@ -198,7 +209,7 @@ main()
                 for (int r = 0; r < reps; ++r) {
                     auto t0 = clock_t_::now();
                     for (int it = 0; it < passes; ++it)
-                        runs = runTraceBatch(ms, stream.stream());
+                        runs = runTraceBatch(ms, stream);
                     t = std::min(t, seconds(t0, clock_t_::now()));
                 }
                 t /= passes;
@@ -216,20 +227,108 @@ main()
                               TextTable::num(t, 4),
                               TextTable::num(laneIps, 0),
                               TextTable::num(vsSerial)});
-                rec.metric("sim." + std::string(simd::pathName(path)) +
-                               ".w" + std::to_string(w) + ".instsPerSec",
-                           laneIps);
             }
         }
         simd::setActivePathAuto();
         table.print(std::cout);
-        rec.note("batched.trace",
-                 "rgb vmmx128, " + std::to_string(records) + " records");
+    }
+
+    // ---- gate: host-SIMD step kernels on a wide group ----------------
+    // One trace replayed on 12 knob variants -- wide enough that every
+    // compiled path runs full vectors (AVX-512 steps 8 configs per op)
+    // plus a partial tail.  Each runnable path is pinned in turn and
+    // timed on the same pre-decoded stream; every path must match the
+    // fused per-config serial runs (runTrace x 12) bit for bit.  The
+    // acceptance gate: the best path must clear 2x the points/s of the
+    // scalar SoA reference on this wide group.  The group runs the rgb
+    // trace -- the longest, most compute-dominated kernel -- because
+    // the gate measures the vectorized timing phases; the short branchy
+    // kernels spend most of their stepping in the per-lane scalar
+    // sub-phases (memory disambiguation) that no path can vectorize,
+    // which caps their speedup by Amdahl.
+    bool simdGate = true;
+    {
+        std::vector<MachineConfig> wideGroup;
+        for (s64 rob : {16, 24, 32, 40, 48, 64, 80, 96, 112, 128, 160,
+                        192}) {
+            Config knobs;
+            knobs.set("core.rob", rob);
+            wideGroup.push_back(makeMachine(SimdKind::VMMX128, 4, knobs));
+        }
+        std::vector<RunResult> oracle;
+        for (const MachineConfig &m : wideGroup)
+            oracle.push_back(runTrace(m, stream));
+
+        // The group is a few milliseconds per pass; time several
+        // passes per rep so the 2x gate rests on stable numbers.
+        constexpr int passes = 20;
+        auto gpps = [&](double t) {
+            return wideGroup.size() * passes / t;
+        };
+        TextTable simdTable({"step kernel (12-config group)", "wall s",
+                             "points/s", "vs scalar SoA"});
+        // Every rep times the scalar SoA reference and then each vector
+        // path back to back, so each ratio compares passes run moments
+        // apart; the gate takes each path's median ratio over the reps,
+        // which a burst of host noise in one rep cannot move.
+        const std::vector<simd::Path> paths = runnablePaths();
+        constexpr int simdReps = 5;
+        double simdBestSpeedup = 1.0;
+        std::vector<double> tPath(paths.size(), 1e9);
+        std::vector<std::vector<double>> ratios(paths.size());
+        for (int r = 0; r < simdReps; ++r) {
+            double tScalar = 0;
+            for (size_t p = 0; p < paths.size(); ++p) {
+                pin(paths[p]);
+                std::vector<RunResult> runs;
+                auto t0 = clock_t_::now();
+                for (int it = 0; it < passes; ++it)
+                    runs = runTraceBatch(wideGroup, stream);
+                double t = seconds(t0, clock_t_::now());
+                if (paths[p] == simd::Path::Scalar)
+                    tScalar = t;
+                tPath[p] = std::min(tPath[p], t);
+                ratios[p].push_back(tScalar / t);
+                for (size_t i = 0; r == 0 && i < oracle.size(); ++i)
+                    if (!(runs[i] == oracle[i])) {
+                        identical = false;
+                        std::cout << "MISMATCH " << simd::pathName(paths[p])
+                                  << " vs serial at config " << i << "\n";
+                    }
+            }
+        }
+        for (size_t p = 0; p < paths.size(); ++p) {
+            std::vector<double> &rs = ratios[p];
+            std::nth_element(rs.begin(), rs.begin() + rs.size() / 2,
+                             rs.end());
+            double medianRatio = rs[rs.size() / 2];
+            simdBestSpeedup = std::max(simdBestSpeedup, medianRatio);
+            simdTable.addRow(
+                {std::string("SoA ") + simd::pathName(paths[p]) + " (" +
+                     std::to_string(simd::pathLanes(paths[p])) + " lanes)",
+                 TextTable::num(tPath[p], 3),
+                 TextTable::num(gpps(tPath[p]), 1),
+                 TextTable::num(medianRatio)});
+        }
+        simd::setActivePathAuto();
+        std::cout << '\n';
+        simdTable.print(std::cout);
+        // The gate only binds where a vector path can actually run; a
+        // scalar-only host (or build) still reports its numbers.
+        bool vectorRunnable = paths.size() > 1; // scalar always runs
+        if (vectorRunnable) {
+            simdGate = simdBestSpeedup >= 2.0;
+            std::cout << "best SIMD path vs scalar SoA reference (median of "
+                      << simdReps << " interleaved reps): "
+                      << TextTable::num(simdBestSpeedup) << "x ("
+                      << (simdGate ? "PASS" : "FAIL: below 2x") << ")\n";
+        } else {
+            std::cout << "no vector path compiled+supported on this host; "
+                         "2x gate skipped\n";
+        }
     }
 
     std::cout << "\nresults bit-identical across paths and widths: "
               << (identical ? "yes" : "NO") << '\n';
-    if (rec.write())
-        std::cout << "perf record written to " << rec.path() << '\n';
-    return identical ? 0 : 1;
+    return identical && simdGate ? 0 : 1;
 }

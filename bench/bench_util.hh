@@ -17,17 +17,13 @@
  * construction is pure, and setQuiet() is atomic.
  */
 
-#ifndef VMMX_BENCH_BENCH_UTIL_HH
-#define VMMX_BENCH_BENCH_UTIL_HH
+#ifndef VMMX_BENCHUTIL_HH
+#define VMMX_BENCHUTIL_HH
 
-#include <fstream>
 #include <iostream>
 #include <map>
 #include <mutex>
-#include <thread>
 #include <tuple>
-
-#include <unistd.h>
 
 #include "apps/app.hh"
 #include "common/table.hh"
@@ -104,65 +100,6 @@ time(const std::vector<InstRecord> &trace, SimdKind kind, unsigned way,
     return t;
 }
 
-/**
- * Standardized machine-readable perf record: one JSON object per bench
- * run, written as BENCH_<name>.json in the working directory so CI can
- * archive the perf trajectory across PRs.  Numeric metrics and string
- * notes are both name-sorted (std::map) for stable diffs; host identity
- * (hostname, core count) rides along so numbers from different machines
- * are never naively compared.
- */
-class PerfRecord
-{
-  public:
-    explicit PerfRecord(std::string name) : name_(std::move(name)) {}
-
-    void metric(const std::string &key, double v) { metrics_[key] = v; }
-    void note(const std::string &key, const std::string &v)
-    {
-        notes_[key] = v;
-    }
-
-    std::string path() const { return "BENCH_" + name_ + ".json"; }
-
-    /** Write the record; @return false (and warn) on I/O failure. */
-    bool
-    write() const
-    {
-        char host[256] = {};
-        if (::gethostname(host, sizeof(host) - 1) != 0)
-            std::snprintf(host, sizeof(host), "unknown");
-        std::ofstream out(path());
-        if (!out) {
-            warn("cannot write perf record '%s'", path().c_str());
-            return false;
-        }
-        out << "{\n  \"bench\": \"" << telemetry::jsonEscape(name_)
-            << "\",\n  \"host\": \"" << telemetry::jsonEscape(host)
-            << "\",\n  \"sanitizer\": \""
-            << telemetry::jsonEscape(telemetry::sanitizerName())
-            << "\",\n  \"hardwareConcurrency\": "
-            << std::thread::hardware_concurrency();
-        for (const auto &[k, v] : notes_)
-            out << ",\n  \"" << telemetry::jsonEscape(k) << "\": \""
-                << telemetry::jsonEscape(v) << "\"";
-        out << ",\n  \"metrics\": {";
-        bool first = true;
-        for (const auto &[k, v] : metrics_) {
-            out << (first ? "\n" : ",\n") << "    \""
-                << telemetry::jsonEscape(k) << "\": " << v;
-            first = false;
-        }
-        out << (first ? "}" : "\n  }") << "\n}\n";
-        return bool(out);
-    }
-
-  private:
-    std::string name_;
-    std::map<std::string, double> metrics_;
-    std::map<std::string, std::string> notes_;
-};
-
 } // namespace vmmx::bench
 
-#endif // VMMX_BENCH_BENCH_UTIL_HH
+#endif // VMMX_BENCHUTIL_HH

@@ -9,7 +9,6 @@
 #include <unistd.h>
 
 #include "common/env.hh"
-#include "common/stats.hh"
 
 namespace vmmx::telemetry
 {
@@ -207,22 +206,6 @@ Registry::setGauge(const std::string &name, u64 value)
 }
 
 void
-Registry::addGroup(const StatGroup *group)
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    if (std::find(groups_.begin(), groups_.end(), group) == groups_.end())
-        groups_.push_back(group);
-}
-
-void
-Registry::removeGroup(const StatGroup *group)
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    groups_.erase(std::remove(groups_.begin(), groups_.end(), group),
-                  groups_.end());
-}
-
-void
 Registry::addUnit(UnitRecord &&rec)
 {
     std::lock_guard<std::mutex> lock(mu_);
@@ -251,7 +234,6 @@ Registry::clear()
     std::lock_guard<std::mutex> lock(mu_);
     counters_.clear();
     gauges_.clear();
-    groups_.clear();
     units_.clear();
 }
 
@@ -263,17 +245,6 @@ Registry::snapshot() const
     snap.values = counters_;
     for (const auto &[name, v] : gauges_)
         snap.values[name] = v;
-    // Federated StatGroups flatten into "group.stat" names; histograms
-    // contribute their sample count and sum (the mean is derivable).
-    for (const StatGroup *g : groups_) {
-        for (const Counter *c : g->counters())
-            snap.values[g->name() + "." + c->name()] = c->value();
-        for (const Histogram *h : g->histograms()) {
-            snap.values[g->name() + "." + h->name() + ".samples"] =
-                h->samples();
-            snap.values[g->name() + "." + h->name() + ".sum"] = h->sum();
-        }
-    }
     return snap;
 }
 
@@ -287,27 +258,6 @@ Registry::delta(const MetricsSnapshot &before, const MetricsSnapshot &after)
         d.values[name] = v >= prev ? v - prev : 0;
     }
     return d;
-}
-
-void
-Registry::dumpText(std::ostream &os) const
-{
-    MetricsSnapshot snap = snapshot();
-    for (const auto &[name, v] : snap.values)
-        os << name << ' ' << v << '\n';
-    std::vector<UnitRecord> us = units();
-    std::ostringstream num;
-    num << std::fixed << std::setprecision(1);
-    for (const UnitRecord &u : us) {
-        num.str("");
-        num << u.pointsPerSec();
-        os << "unit " << u.label << " points " << u.points << " records "
-           << u.records << " wallNs " << u.wallNs << " points/s "
-           << num.str();
-        if (!u.simd.empty())
-            os << " simd " << u.simd;
-        os << '\n';
-    }
 }
 
 void

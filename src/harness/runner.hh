@@ -19,7 +19,7 @@
 #include <vector>
 
 #include "harness/machine.hh"
-#include "sim/core.hh"
+#include "sim/sim_context.hh"
 
 namespace vmmx
 {

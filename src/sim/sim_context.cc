@@ -251,7 +251,7 @@ runBatch(const std::vector<InstRecord> &trace,
 
     if (ctxs.size() == 1) {
         // Single configuration: fuse decode and step so no block buffer
-        // is materialized (this is the runTrace / OoOCore::run path).
+        // is materialized (this is the runTrace path).
         SimContext &ctx = *ctxs[0];
         for (const InstRecord &inst : trace)
             ctx.step(decodeInst(inst));

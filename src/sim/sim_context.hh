@@ -1,17 +1,32 @@
 /**
  * @file
- * Per-configuration simulation context and the batched trace-replay
- * entry point.
+ * Out-of-order superscalar timing core: the per-configuration
+ * simulation context and the batched trace-replay entry point.
  *
- * A SimContext owns every piece of mutable per-run state of the
- * out-of-order timing model -- the width gates, issue queue, functional-
- * unit pools, branch predictor, register free lists, ready tables, ROB
- * ring, store window, and the statistics of the run in flight -- bound to
- * one CoreParams and one MemorySystem.  Pulling that state out of
- * OoOCore is what makes batched simulation possible: N contexts can be
- * stepped against the *same* dynamic instruction stream, so a sweep
- * over N machine configurations decodes and streams the trace once
- * instead of N times.
+ * The core replays a dynamic instruction trace through an
+ * R10000-style pipeline model: width-limited in-order fetch/rename/
+ * commit, renaming against per-class physical register free lists,
+ * windowed issue queue, out-of-order issue to functional-unit pools, a
+ * gshare branch predictor with a fixed redirect penalty, address-based
+ * store->load disambiguation, and the two-level memory system with the
+ * vector-cache path.  Vector (matrix) instructions occupy a vector unit
+ * for ceil(vl / lanesPerFu) cycles; in-register transposes occupy the
+ * lane exchange network for vl cycles.  The model is a single
+ * in-program-order pass that resolves each instruction's fetch/rename/
+ * issue/complete/commit cycles against the reservations made by older
+ * instructions -- equivalent to a cycle-driven model for this machine
+ * (no speculation past unresolved branches is modelled other than
+ * through the redirect penalty).
+ *
+ * A SimContext owns every piece of mutable per-run state of that model
+ * -- the width gates, issue queue, functional-unit pools, branch
+ * predictor, register free lists, ready tables, ROB ring, store window,
+ * and the statistics of the run in flight -- bound to one CoreParams
+ * and one MemorySystem.  Keeping that state per context is what makes
+ * batched simulation possible: N contexts can be stepped against the
+ * *same* dynamic instruction stream, so a sweep over N machine
+ * configurations decodes and streams the trace once instead of N
+ * times; one configuration is simply a batch of one.
  *
  * The decode split: everything about an InstRecord that does not depend
  * on the machine configuration is resolved once into a DecodedInst

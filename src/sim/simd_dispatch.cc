@@ -6,10 +6,6 @@
 #include "common/env.hh"
 #include "common/logging.hh"
 
-#if defined(__x86_64__) || defined(__i386__)
-#include <cpuid.h>
-#endif
-
 namespace vmmx::simd
 {
 
@@ -18,44 +14,21 @@ namespace
 
 #if defined(__x86_64__) || defined(__i386__)
 
-/** xgetbv(0): which register state the OS saves/restores.  Only valid
- *  when cpuid reports OSXSAVE; callers check that first. */
-u64
-xcr0()
-{
-    u32 eax, edx;
-    __asm__ __volatile__("xgetbv" : "=a"(eax), "=d"(edx) : "c"(0));
-    return (u64(edx) << 32) | eax;
-}
-
 /**
- * The ax_ext probe: a vector extension is usable only when (a) cpuid
- * advertises the feature, and (b) for YMM/ZMM-register families, cpuid
- * advertises OSXSAVE and xgetbv confirms the OS context-switches the
- * wide state (XCR0 bits 1-2 for YMM, plus 5-7 for ZMM/opmask).
+ * A vector extension is usable only when the CPU advertises the
+ * feature and the OS context-switches its register state.  libgcc's
+ * __builtin_cpu_supports checks both: it reports avx2 and avx512f only
+ * when cpuid advertises OSXSAVE and XCR0 enables the YMM state (bits
+ * 1-2), plus the opmask/ZMM state (bits 5-7) for avx512f.
  */
 u32
 probeHost()
 {
+    __builtin_cpu_init();
     u32 mask = 1u << u32(Path::Scalar);
-
-    u32 eax = 0, ebx = 0, ecx = 0, edx = 0;
-    if (!__get_cpuid(1, &eax, &ebx, &ecx, &edx))
-        return mask;
-    if (edx & (1u << 26)) // SSE2
-        mask |= 1u << u32(Path::Sse2);
-
-    bool osxsave = ecx & (1u << 27);
-    u64 x = osxsave ? xcr0() : 0;
-    bool ymmEnabled = (x & 0x6) == 0x6;
-    bool zmmEnabled = (x & 0xe6) == 0xe6;
-
-    u32 eax7 = 0, ebx7 = 0, ecx7 = 0, edx7 = 0;
-    if (!__get_cpuid_count(7, 0, &eax7, &ebx7, &ecx7, &edx7))
-        return mask;
-    if ((ebx7 & (1u << 5)) && ymmEnabled) // AVX2
+    if (__builtin_cpu_supports("avx2"))
         mask |= 1u << u32(Path::Avx2);
-    if ((ebx7 & (1u << 16)) && zmmEnabled) // AVX512F
+    if (__builtin_cpu_supports("avx512f"))
         mask |= 1u << u32(Path::Avx512);
     return mask;
 }
@@ -81,7 +54,7 @@ rejectReason(Path p)
                "-m flags); available paths are listed in compiledMask";
     if (!(supportedMask() & bit))
         return std::string("SIMD path '") + pathName(p) +
-               "' is not supported by this host CPU (cpuid/xgetbv probe "
+               "' is not supported by this host CPU (feature probe "
                "failed); use VMMX_SIMD=auto or a narrower path";
     return "";
 }
@@ -100,7 +73,7 @@ resolveFromEnv()
         Path p{};
         bool isAuto = false;
         if (!parsePath(text, p, isAuto)) {
-            warn("VMMX_SIMD='%s' is not scalar|sse2|avx2|avx512|auto; "
+            warn("VMMX_SIMD='%s' is not scalar|avx2|avx512|auto; "
                  "using auto",
                  text.c_str());
         } else if (!isAuto) {
@@ -120,7 +93,6 @@ pathName(Path p)
 {
     switch (p) {
       case Path::Scalar: return "scalar";
-      case Path::Sse2: return "sse2";
       case Path::Avx2: return "avx2";
       case Path::Avx512: return "avx512";
     }
@@ -132,7 +104,6 @@ pathLanes(Path p)
 {
     switch (p) {
       case Path::Scalar: return 1;
-      case Path::Sse2: return 2;
       case Path::Avx2: return 4;
       case Path::Avx512: return 8;
     }
@@ -149,8 +120,6 @@ parsePath(std::string_view text, Path &p, bool &isAuto)
     }
     if (text == "scalar")
         p = Path::Scalar;
-    else if (text == "sse2")
-        p = Path::Sse2;
     else if (text == "avx2")
         p = Path::Avx2;
     else if (text == "avx512")
@@ -164,9 +133,6 @@ u32
 compiledMask()
 {
     u32 mask = 1u << u32(Path::Scalar);
-#ifdef VMMX_KERNEL_SSE2
-    mask |= 1u << u32(Path::Sse2);
-#endif
 #ifdef VMMX_KERNEL_AVX2
     mask |= 1u << u32(Path::Avx2);
 #endif
@@ -238,10 +204,6 @@ stepFn(Path p)
     switch (p) {
       case Path::Scalar:
         return &stepBlockScalar;
-#ifdef VMMX_KERNEL_SSE2
-      case Path::Sse2:
-        return &stepBlockSse2;
-#endif
 #ifdef VMMX_KERNEL_AVX2
       case Path::Avx2:
         return &stepBlockAvx2;

@@ -4,16 +4,16 @@
  *
  * The SoA batch stepper (sim/sim_batch.hh) is one templated kernel
  * instantiated at several host vector widths: a scalar reference (one
- * configuration per "lane"), SSE2 (2 lanes), AVX2 (4) and AVX-512 (8).
+ * configuration per "lane"), AVX2 (4 lanes) and AVX-512 (8).
  * Each instantiation lives in its own translation unit compiled with
  * the matching -m flags, so the library as a whole stays runnable on
  * any x86-64 (and non-x86) host: nothing outside those files emits
  * wide instructions.
  *
- * Which kernel actually runs is decided once per process: the cpuid
- * probe (the classic ax_ext capability check -- feature bit plus
- * OSXSAVE/xgetbv state-enable for the wide register files) yields the
- * supported set, the build yields the compiled set, and the widest
+ * Which kernel actually runs is decided once per process: the host
+ * probe (the compiler runtime's CPU feature check -- feature bit plus
+ * OS-enabled state for the wide register files) yields the supported
+ * set, the build yields the compiled set, and the widest
  * path in both wins.  `VMMX_SIMD` / `--simd` can pin any compiled+
  * supported path instead; asking for a path the host cannot execute is
  * a hard error, because silently falling back would mislabel every
@@ -48,14 +48,13 @@ namespace simd
 enum class Path : u8
 {
     Scalar = 0, ///< SoA reference kernel, one config per step
-    Sse2 = 1,   ///< 2 configs per vector op
-    Avx2 = 2,   ///< 4 configs per vector op
-    Avx512 = 3, ///< 8 configs per vector op
+    Avx2 = 1,   ///< 4 configs per vector op
+    Avx512 = 2, ///< 8 configs per vector op
 };
 
-constexpr unsigned numPaths = 4;
+constexpr unsigned numPaths = 3;
 
-/** Canonical lower-case name ("scalar", "sse2", "avx2", "avx512"). */
+/** Canonical lower-case name ("scalar", "avx2", "avx512"). */
 const char *pathName(Path p);
 
 /** Host-SIMD lanes (configs advanced per vector op) of @p p. */
@@ -71,9 +70,9 @@ bool parsePath(std::string_view text, Path &p, bool &isAuto);
  *  Scalar is always compiled. */
 u32 compiledMask();
 
-/** Bitmask of paths the host CPU can execute, from cpuid (feature
- *  bits) plus xgetbv (OS enabled the YMM/ZMM state).  Scalar is
- *  always supported. */
+/** Bitmask of paths the host CPU can execute: the feature bit plus
+ *  the OS having enabled the YMM/ZMM state.  Scalar is always
+ *  supported. */
 u32 supportedMask();
 
 /** Widest path that is both compiled and supported. */
@@ -90,7 +89,7 @@ Path activePath();
 /**
  * Pin the active path explicitly (the --simd flags).  @return an empty
  * string on success, else a diagnostic naming the path and why it was
- * rejected (not compiled in / host cpuid lacks it); the active path is
+ * rejected (not compiled in / host CPU lacks it); the active path is
  * unchanged on failure.
  */
 std::string setActivePath(Path p);
@@ -112,9 +111,6 @@ StepFn stepFn(Path p);
 // Kernel entry points, one per translation unit.  Only the ones the
 // build compiled (VMMX_KERNEL_*) exist; stepFn() guards access.
 void stepBlockScalar(SimBatch &b, const DecodedInst *insts, size_t n);
-#ifdef VMMX_KERNEL_SSE2
-void stepBlockSse2(SimBatch &b, const DecodedInst *insts, size_t n);
-#endif
 #ifdef VMMX_KERNEL_AVX2
 void stepBlockAvx2(SimBatch &b, const DecodedInst *insts, size_t n);
 #endif

@@ -20,13 +20,15 @@
 #include "sim/simd_dispatch.hh"
 #include "trace/trace_repo.hh"
 
+#include "random_machine.hh"
+
 namespace vmmx
 {
 namespace
 {
 
-constexpr simd::Path kAllPaths[] = {simd::Path::Scalar, simd::Path::Sse2,
-                                    simd::Path::Avx2, simd::Path::Avx512};
+constexpr simd::Path kAllPaths[] = {simd::Path::Scalar, simd::Path::Avx2,
+                                    simd::Path::Avx512};
 
 u32
 bit(simd::Path p)
@@ -67,15 +69,12 @@ TEST_F(SimdTest, ProbeReportsSaneLattice)
     EXPECT_EQ(simd::compiledMask() >> simd::numPaths, 0u);
     EXPECT_EQ(simd::supportedMask() >> simd::numPaths, 0u);
 
-    // AVX-512 machines have AVX2; AVX2 machines have SSE2 (the probe
-    // checks each feature independently, so this asserts the probe is
-    // reading the right bits, not just returning a constant).
+    // AVX-512 machines have AVX2 (the probe checks each feature
+    // independently, so this asserts the probe is reading the right
+    // bits, not just returning a constant).
     u32 sup = simd::supportedMask();
     if (sup & bit(simd::Path::Avx512)) {
         EXPECT_TRUE(sup & bit(simd::Path::Avx2));
-    }
-    if (sup & bit(simd::Path::Avx2)) {
-        EXPECT_TRUE(sup & bit(simd::Path::Sse2));
     }
 
     // bestPath and the resolved active path sit inside both masks, and
@@ -89,9 +88,8 @@ TEST_F(SimdTest, ProbeReportsSaneLattice)
         }
     }
 
-    // Lane widths are the whole point of the ordinals: 1, 2, 4, 8.
+    // Lane widths are the whole point of the ordinals: 1, 4, 8.
     EXPECT_EQ(simd::pathLanes(simd::Path::Scalar), 1u);
-    EXPECT_EQ(simd::pathLanes(simd::Path::Sse2), 2u);
     EXPECT_EQ(simd::pathLanes(simd::Path::Avx2), 4u);
     EXPECT_EQ(simd::pathLanes(simd::Path::Avx512), 8u);
 }
@@ -143,41 +141,6 @@ TEST_F(SimdTest, WidthOneBatchesAlwaysTakeTheSerialStep)
         EXPECT_EQ(simd::pathFor(2), p);
         EXPECT_EQ(simd::pathFor(9), p);
     }
-}
-
-/** A machine with randomized ablation knobs, mirroring the sweep
- *  tests: wide coverage of the per-lane state the SoA kernels must
- *  keep exact (ROB/IQ/lane/store-window/bpred/memory shapes). */
-MachineConfig
-randomMachine(std::mt19937 &rng, SimdKind kind)
-{
-    auto pick = [&](std::initializer_list<s64> choices) {
-        std::vector<s64> v(choices);
-        return v[rng() % v.size()];
-    };
-    unsigned way = unsigned(pick({2, 4, 8}));
-    Config knobs;
-    if (rng() % 2)
-        knobs.set("core.rob", pick({16, 24, 32, 48, 64, 100, 128}));
-    if (rng() % 2)
-        knobs.set("core.iq", pick({5, 8, 13, 16, 32, 64}));
-    if (rng() % 2)
-        knobs.set("core.lanes", pick({1, 2, 4}));
-    if (rng() % 2)
-        knobs.set("core.store_window", pick({0, 1, 3, 16, 64}));
-    if (rng() % 2)
-        knobs.set("core.bpred", pick({256, 4096}));
-    if (rng() % 2)
-        knobs.set("mem.l2.latency", pick({6, 12, 20}));
-    if (rng() % 2)
-        knobs.set("mem.mshrs", pick({2, 8}));
-    if (rng() % 2)
-        knobs.set("mem.l1.size", pick({16 * 1024, 32 * 1024}));
-    // Barely above the 32 logical SIMD registers of the 1-D flavours:
-    // frequent register stalls, and a different free count per lane.
-    if (rng() % 2)
-        knobs.set("core.phys_simd", pick({33, 34, 36, 40, 64}));
-    return makeMachine(kind, way, knobs);
 }
 
 // The dispatch contract: every kernel path this host can run is

@@ -20,6 +20,8 @@
 #include "kernels/kernel.hh"
 #include "trace/trace_repo.hh"
 
+#include "random_machine.hh"
+
 namespace vmmx
 {
 namespace
@@ -263,40 +265,6 @@ TEST_F(SweepTest, ResultsMatchDirectRunTrace)
     auto trace = repo.kernel("ltpfilt", SimdKind::VMMX128);
     RunResult direct = runTrace(makeMachine(SimdKind::VMMX128, 4), *trace);
     EXPECT_TRUE(results[0].result == direct);
-}
-
-/** A machine with randomized ablation knobs -- wide coverage of the
- *  state a SimContext must keep private for batching to be exact. */
-MachineConfig
-randomMachine(std::mt19937 &rng, SimdKind kind)
-{
-    auto pick = [&](std::initializer_list<s64> choices) {
-        std::vector<s64> v(choices);
-        return v[rng() % v.size()];
-    };
-    unsigned way = unsigned(pick({2, 4, 8}));
-    Config knobs;
-    if (rng() % 2)
-        knobs.set("core.rob", pick({16, 24, 32, 48, 64, 100, 128}));
-    if (rng() % 2)
-        knobs.set("core.iq", pick({5, 8, 13, 16, 32, 64}));
-    if (rng() % 2)
-        knobs.set("core.lanes", pick({1, 2, 4}));
-    if (rng() % 2)
-        knobs.set("core.store_window", pick({0, 1, 3, 16, 64}));
-    if (rng() % 2)
-        knobs.set("core.bpred", pick({256, 4096}));
-    if (rng() % 2)
-        knobs.set("mem.l2.latency", pick({6, 12, 20}));
-    if (rng() % 2)
-        knobs.set("mem.mshrs", pick({2, 8}));
-    if (rng() % 2)
-        knobs.set("mem.l1.size", pick({16 * 1024, 32 * 1024}));
-    // Barely above the 32 logical SIMD registers of the 1-D flavours:
-    // frequent register stalls, and a different free count per lane.
-    if (rng() % 2)
-        knobs.set("core.phys_simd", pick({33, 34, 36, 40, 64}));
-    return makeMachine(kind, way, knobs);
 }
 
 // The batched-execution contract: one trace pass through N randomized

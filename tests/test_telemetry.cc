@@ -11,7 +11,6 @@
 #include <sstream>
 
 #include "common/rng.hh"
-#include "common/stats.hh"
 #include "common/telemetry.hh"
 #include "harness/executor.hh"
 #include "isa/simd_kind.hh"
@@ -105,22 +104,16 @@ TEST_F(TelemetryTest, RegistryCountersGaugesAndSortedDump)
     EXPECT_EQ(snap.values.at("z.count"), 5u);
     EXPECT_EQ(snap.values.at("a.gauge"), 9u);
 
+    // Both views are name-sorted: the snapshot by key, the JSON dump by
+    // section.
+    EXPECT_EQ(snap.values.begin()->first, "a.gauge");
     std::ostringstream os;
-    reg.dumpText(os);
-    const std::string text = os.str();
-    EXPECT_LT(text.find("a.gauge 9"), text.find("z.count 5"));
-}
-
-TEST_F(TelemetryTest, RegistryFederatesStatGroups)
-{
-    auto &reg = telemetry::Registry::instance();
-    StatGroup g("grp");
-    Counter c(&g, "events", "event count");
-    c += 4;
-    reg.addGroup(&g);
-    EXPECT_EQ(reg.snapshot().values.at("grp.events"), 4u);
-    reg.removeGroup(&g);
-    EXPECT_EQ(reg.snapshot().values.count("grp.events"), 0u);
+    reg.dumpJson(os);
+    const std::string json = os.str();
+    ASSERT_NE(json.find("\"gauge\": 9"), std::string::npos);
+    ASSERT_NE(json.find("\"count\": 5"), std::string::npos);
+    EXPECT_LT(json.find("\"a\""), json.find("\"z\""));
+    EXPECT_LT(json.find("\"gauge\": 9"), json.find("\"count\": 5"));
 }
 
 TEST_F(TelemetryTest, SnapshotDeltaClampsAtZero)

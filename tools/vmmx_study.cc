@@ -102,7 +102,7 @@ usage(int rc)
         "  --max-unit-attempts N override how many workers one unit may\n"
         "                  kill before quarantine (processes backend)\n"
         "  --simd P        pin the host-SIMD step kernel for batched\n"
-        "                  groups (scalar, sse2, avx2, avx512, auto);\n"
+        "                  groups (scalar, avx2, avx512, auto);\n"
         "                  paths the host cpuid does not support are\n"
         "                  rejected.  Equivalent to VMMX_SIMD=P.\n"
         "  --report-only   print only the report tables (no title or\n"
@@ -184,7 +184,7 @@ main(int argc, char **argv)
             simd::Path path{};
             bool isAuto = false;
             if (!simd::parsePath(p, path, isAuto))
-                fatal("--simd: '%s' is not scalar|sse2|avx2|avx512|auto",
+                fatal("--simd: '%s' is not scalar|avx2|avx512|auto",
                       p.c_str());
             if (isAuto) {
                 simd::setActivePathAuto();
