@@ -17,14 +17,15 @@
  *               rgb stream.  Width 1 always takes the fused serial step
  *               (the dispatch rule), so its row is identical across
  *               paths and printed once;
- *   gate      : the host-SIMD 2x gate on a 12-config group of the same
- *               stream -- the best vector path must at least double the
- *               scalar SoA reference's points/s, as the median of
- *               per-rep ratios with the two timed back to back in each
- *               rep.
+ *   gate      : the host-SIMD gate on a 12-config group of the same
+ *               stream -- every runnable vector path must clear its own
+ *               bound (gateBound) on the scalar SoA reference's
+ *               points/s, as the median of per-rep ratios with the two
+ *               timed back to back in each rep.
  *
- * Exits nonzero on any mismatch against the oracle and when the gate
- * fails; the gate is skipped only when no vector path is runnable.
+ * Exits nonzero on any mismatch against the oracle and when a path
+ * misses its bound; the gate is skipped only when no vector path is
+ * runnable.
  */
 
 #include <algorithm>
@@ -60,6 +61,26 @@ runnablePaths()
         if (usable & (u32(1) << ord))
             paths.push_back(simd::Path(ord));
     return paths;
+}
+
+/**
+ * The gate's floor on a vector path's median points/s ratio over the
+ * scalar SoA reference.  Each path has its own, so a host without
+ * AVX-512 is gated on a bound written for AVX2.  Release medians on an
+ * AVX-512 Xeon (g++ 12.2): avx512 2.8-3.5x, avx2 1.72-1.96x.
+ */
+double
+gateBound(simd::Path path)
+{
+    switch (path) {
+      case simd::Path::Avx512:
+        return 2.0;
+      case simd::Path::Avx2:
+        return 1.5;
+      case simd::Path::Scalar:
+        break;
+    }
+    return 0; // the reference itself
 }
 
 void
@@ -115,27 +136,47 @@ main()
     }
 
     // ---- tracegen: generation cost, cache bypassed on purpose --------
+    // Each row times what a trace-repository miss does: a fresh image,
+    // prepare, and a recording emit.  The mpeg2dec row includes its
+    // prepare's encoder run, which executes without recording.
     {
+        struct Case
+        {
+            const char *name;
+            bool isApp;
+            SimdKind kind;
+        };
+        const Case cases[] = {{"motion1", false, SimdKind::MMX64},
+                              {"motion1", false, SimdKind::VMMX128},
+                              {"mpeg2dec", true, SimdKind::MMX64}};
         TextTable table({"trace generation", "records", "wall s",
                          "insts/s"});
-        for (SimdKind kind : {SimdKind::MMX64, SimdKind::VMMX128}) {
+        for (const Case &c : cases) {
             double t = 1e9;
             size_t records = 0;
             for (int r = 0; r < reps; ++r) {
                 auto t0 = clock_t_::now();
-                auto k = makeKernel("motion1");
-                MemImage mem(16u << 20);
+                MemImage mem(c.isApp ? TraceRepository::appImageBytes
+                                     : TraceRepository::kernelImageBytes);
                 Rng rng(0xbeef);
-                k->prepare(mem, rng);
-                Program p(mem, kind);
-                k->emit(p);
+                Program p(mem, c.kind);
+                if (c.isApp) {
+                    auto a = makeApp(c.name);
+                    a->prepare(mem, rng);
+                    a->emit(p);
+                } else {
+                    auto k = makeKernel(c.name);
+                    k->prepare(mem, rng);
+                    k->emit(p);
+                }
                 auto trace = p.takeTrace();
                 t = std::min(t, seconds(t0, clock_t_::now()));
                 records = trace.size();
             }
             double ips = double(records) / t;
-            table.addRow({name(kind), std::to_string(records),
-                          TextTable::num(t, 4), TextTable::num(ips, 0)});
+            table.addRow({std::string(c.name) + " " + name(c.kind),
+                          std::to_string(records), TextTable::num(t, 6),
+                          TextTable::num(ips, 0)});
         }
         table.print(std::cout);
         std::cout << '\n';
@@ -239,8 +280,9 @@ main()
     // plus a partial tail.  Each runnable path is pinned in turn and
     // timed on the same pre-decoded stream; every path must match the
     // fused per-config serial runs (runTrace x 12) bit for bit.  The
-    // acceptance gate: the best path must clear 2x the points/s of the
-    // scalar SoA reference on this wide group.  The group runs the rgb
+    // acceptance gate: every vector path must clear its gateBound()
+    // multiple of the scalar SoA reference's points/s on this wide
+    // group.  The group runs the rgb
     // trace -- the longest, most compute-dominated kernel -- because
     // the gate measures the vectorized timing phases; the short branchy
     // kernels spend most of their stepping in the per-lane scalar
@@ -260,20 +302,19 @@ main()
             oracle.push_back(runTrace(m, stream));
 
         // The group is a few milliseconds per pass; time several
-        // passes per rep so the 2x gate rests on stable numbers.
+        // passes per rep so the gate rests on stable numbers.
         constexpr int passes = 20;
         auto gpps = [&](double t) {
             return wideGroup.size() * passes / t;
         };
         TextTable simdTable({"step kernel (12-config group)", "wall s",
-                             "points/s", "vs scalar SoA"});
+                             "points/s", "vs scalar SoA", "bound"});
         // Every rep times the scalar SoA reference and then each vector
         // path back to back, so each ratio compares passes run moments
         // apart; the gate takes each path's median ratio over the reps,
         // which a burst of host noise in one rep cannot move.
         const std::vector<simd::Path> paths = runnablePaths();
         constexpr int simdReps = 5;
-        double simdBestSpeedup = 1.0;
         std::vector<double> tPath(paths.size(), 1e9);
         std::vector<std::vector<double>> ratios(paths.size());
         for (int r = 0; r < simdReps; ++r) {
@@ -302,13 +343,20 @@ main()
             std::nth_element(rs.begin(), rs.begin() + rs.size() / 2,
                              rs.end());
             double medianRatio = rs[rs.size() / 2];
-            simdBestSpeedup = std::max(simdBestSpeedup, medianRatio);
+            double bound = gateBound(paths[p]);
+            std::string verdict = "-";
+            if (bound > 0) {
+                bool pass = medianRatio >= bound;
+                simdGate = simdGate && pass;
+                verdict = TextTable::num(bound) + "x " +
+                          (pass ? "PASS" : "FAIL");
+            }
             simdTable.addRow(
                 {std::string("SoA ") + simd::pathName(paths[p]) + " (" +
                      std::to_string(simd::pathLanes(paths[p])) + " lanes)",
                  TextTable::num(tPath[p], 3),
                  TextTable::num(gpps(tPath[p]), 1),
-                 TextTable::num(medianRatio)});
+                 TextTable::num(medianRatio), verdict});
         }
         simd::setActivePathAuto();
         std::cout << '\n';
@@ -317,14 +365,13 @@ main()
         // scalar-only host (or build) still reports its numbers.
         bool vectorRunnable = paths.size() > 1; // scalar always runs
         if (vectorRunnable) {
-            simdGate = simdBestSpeedup >= 2.0;
-            std::cout << "best SIMD path vs scalar SoA reference (median of "
+            std::cout << "every SIMD path vs its bound over scalar SoA "
+                         "(median of "
                       << simdReps << " interleaved reps): "
-                      << TextTable::num(simdBestSpeedup) << "x ("
-                      << (simdGate ? "PASS" : "FAIL: below 2x") << ")\n";
+                      << (simdGate ? "PASS" : "FAIL") << "\n";
         } else {
             std::cout << "no vector path compiled+supported on this host; "
-                         "2x gate skipped\n";
+                         "SIMD gate skipped\n";
         }
     }
 

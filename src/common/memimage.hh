@@ -6,14 +6,19 @@
  * Addresses are allocated bump-pointer style; there is no protection or
  * paging — workloads are cooperative.  Accessors are little-endian and
  * bounds-checked (a wild access is a simulator bug, hence panic).
+ *
+ * The arena is lazily zeroed: it is an anonymous private mapping, so
+ * every byte reads 0 until written, but a page costs nothing until it
+ * is first touched.  The apps allocate at most ~130 KB of their 32 MiB
+ * arena; the bounds, the values read and every address are the same as
+ * for an eagerly zeroed buffer of size() bytes.  The image owns its
+ * mapping and is therefore move-only.
  */
 
 #ifndef VMMX_COMMON_MEMIMAGE_HH
 #define VMMX_COMMON_MEMIMAGE_HH
 
 #include <cstring>
-#include <string>
-#include <vector>
 
 #include "common/logging.hh"
 #include "common/types.hh"
@@ -26,14 +31,17 @@ class MemImage
   public:
     /** @param size arena size in bytes. */
     explicit MemImage(size_t size = 16u << 20);
+    ~MemImage();
+
+    /** Takes the arena; @p other is left empty (size() 0). */
+    MemImage(MemImage &&other) noexcept;
+    MemImage(const MemImage &) = delete;
+    MemImage &operator=(const MemImage &) = delete;
 
     /** Allocate @p bytes aligned to @p align; returns base address. */
     Addr alloc(size_t bytes, size_t align = 16);
 
-    /** Reset the allocator and zero the arena. */
-    void clear();
-
-    size_t size() const { return data_.size(); }
+    size_t size() const { return size_; }
     Addr brk() const { return brk_; }
 
     u8 read8(Addr a) const { check(a, 1); return data_[a]; }
@@ -50,17 +58,18 @@ class MemImage
     void copyIn(Addr a, const void *src, size_t n);
     void copyOut(void *dst, Addr a, size_t n) const;
 
-    /** Direct pointer for golden references; valid until clear(). */
-    u8 *raw(Addr a, size_t n) { check(a, n); return &data_[a]; }
-    const u8 *raw(Addr a, size_t n) const { check(a, n); return &data_[a]; }
+    /** Direct pointer for golden references; valid while the image
+     *  owns its arena. */
+    u8 *raw(Addr a, size_t n) { check(a, n); return data_ + a; }
+    const u8 *raw(Addr a, size_t n) const { check(a, n); return data_ + a; }
 
   private:
     void
     check(Addr a, size_t n) const
     {
-        if (a + n > data_.size() || a + n < a)
+        if (a + n > size_ || a + n < a)
             panic("memory access [0x%llx, +%zu) out of arena of %zu bytes",
-                  static_cast<unsigned long long>(a), n, data_.size());
+                  static_cast<unsigned long long>(a), n, size_);
     }
 
     template <typename T>
@@ -69,7 +78,7 @@ class MemImage
     {
         check(a, sizeof(T));
         T v;
-        std::memcpy(&v, &data_[a], sizeof(T));
+        std::memcpy(&v, data_ + a, sizeof(T));
         return v;
     }
 
@@ -78,11 +87,12 @@ class MemImage
     writeT(Addr a, T v)
     {
         check(a, sizeof(T));
-        std::memcpy(&data_[a], &v, sizeof(T));
+        std::memcpy(data_ + a, &v, sizeof(T));
     }
 
-    std::vector<u8> data_;
-    Addr brk_;
+    u8 *data_ = nullptr;
+    size_t size_ = 0;
+    Addr brk_ = 64; // keep address 0 unmapped-ish: allocations never return 0
 };
 
 } // namespace vmmx

@@ -6,13 +6,20 @@ namespace vmmx
 {
 
 Program::Program(MemImage &mem, SimdKind kind)
+    : Program(mem, kind, executeOnly)
+{
+    record_ = true;
+    trace_.reserve(1u << 16);
+}
+
+Program::Program(MemImage &mem, SimdKind kind, ExecuteOnly)
     : mem_(mem),
       kind_(kind),
       width_(rowBytes(kind)),
+      record_(false),
       vl_(u16(geometry(kind).maxVl)),
       maxSimdRegs_(geometry(kind).logicalRegs)
 {
-    trace_.reserve(1u << 16);
 }
 
 void
@@ -54,6 +61,8 @@ Program::areg()
 void
 Program::emit(InstRecord rec)
 {
+    if (!record_)
+        return;
     rec.region = region_;
     trace_.push_back(rec);
 }

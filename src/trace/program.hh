@@ -8,6 +8,11 @@
  * real values, so kernel outputs can be verified bit-exactly -- and
  * appends a dynamic InstRecord to the trace that the timing core replays.
  *
+ * A Program built with the executeOnly tag runs the same functional
+ * semantics but records nothing: emit() returns before appending, so
+ * trace() stays empty.  Decoders use it to produce their input
+ * bitstream by running the encoder, whose trace nobody replays.
+ *
  * Control flow runs natively in C++; branch-emitting helpers record the
  * resolved direction together with a static site id (derived from the
  * call site via std::source_location) so the branch predictor sees a
@@ -58,7 +63,16 @@ struct AR
 class Program
 {
   public:
+    /** Tag selecting a Program that executes but records no trace. */
+    struct ExecuteOnly
+    {
+    };
+    static constexpr ExecuteOnly executeOnly{};
+
+    /** A recording Program: every operation appends an InstRecord. */
     Program(MemImage &mem, SimdKind kind);
+    /** An execute-only Program: functional state only, empty trace(). */
+    Program(MemImage &mem, SimdKind kind, ExecuteOnly);
 
     SimdKind kind() const { return kind_; }
     /** Bytes per packed word / matrix row (8 or 16). */
@@ -200,6 +214,7 @@ class Program
     SimdKind kind_;
     unsigned width_;
 
+    bool record_;
     std::vector<InstRecord> trace_;
     u16 region_ = 0;
     u16 vl_;

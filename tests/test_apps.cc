@@ -70,6 +70,70 @@ INSTANTIATE_TEST_SUITE_P(AllApps, AppCorrectness,
                          testing::ValuesIn(appNames()),
                          [](const auto &tpi) { return tpi.param; });
 
+/** FNV-1a over the allocated part of an image, [0, brk). */
+u64
+preparedHash(const MemImage &mem)
+{
+    u64 h = 1469598103934665603ull;
+    for (Addr a = 0; a < mem.brk(); ++a) {
+        h ^= mem.read8(a);
+        h *= 1099511628211ull;
+    }
+    return h;
+}
+
+/** A decoder's prepare runs its encoder on an execute-only Program; the
+ *  memory it leaves must equal a recording run's, byte for byte. */
+class DecoderPrepare
+    : public testing::TestWithParam<std::pair<const char *, const char *>>
+{
+};
+
+TEST_P(DecoderPrepare, ExecuteOnlyEncoderMatchesRecordingRun)
+{
+    const auto [decName, encName] = GetParam();
+
+    MemImage recMem(32u << 20);
+    {
+        Rng rng(42);
+        auto enc = makeApp(encName);
+        enc->prepare(recMem, rng);
+        Program p(recMem, SimdKind::MMX64);
+        enc->emit(p);
+        EXPECT_GT(p.trace().size(), 0u);
+    }
+
+    MemImage execMem(32u << 20);
+    {
+        Rng rng(42);
+        auto enc = makeApp(encName);
+        enc->prepare(execMem, rng);
+        Program p(execMem, SimdKind::MMX64, Program::executeOnly);
+        enc->emit(p);
+        EXPECT_EQ(p.trace().size(), 0u);
+        EXPECT_TRUE(p.takeTrace().empty());
+    }
+
+    MemImage decMem(32u << 20);
+    {
+        Rng rng(42);
+        makeApp(decName)->prepare(decMem, rng);
+    }
+
+    EXPECT_EQ(execMem.brk(), recMem.brk());
+    EXPECT_EQ(decMem.brk(), recMem.brk());
+    const u64 ref = preparedHash(recMem);
+    EXPECT_EQ(preparedHash(execMem), ref);
+    EXPECT_EQ(preparedHash(decMem), ref);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Decoders, DecoderPrepare,
+    testing::Values(std::pair{"jpegdec", "jpegenc"},
+                    std::pair{"mpeg2dec", "mpeg2enc"},
+                    std::pair{"gsmdec", "gsmenc"}),
+    [](const auto &tpi) { return std::string(tpi.param.first); });
+
 TEST(AppRoundTrip, JpegDecodeApproximatesInput)
 {
     JpegDec dec;

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 #include <cstdlib>
 #include <sstream>
+#include <type_traits>
 
 #include "common/config.hh"
 #include "common/env.hh"
@@ -160,6 +161,51 @@ TEST(MemImage, ReadWriteRoundTrip)
     EXPECT_EQ(mem.read16(a + 6), 0x1122);
     mem.write16(a + 2, 0xbeef);
     EXPECT_EQ(mem.read32(a), 0xbeef7788u);
+}
+
+TEST(MemImage, FreshArenaReadsZeroToTheTop)
+{
+    MemImage mem(32u << 20);
+    EXPECT_EQ(mem.size(), size_t(32u << 20));
+    EXPECT_EQ(mem.read64(64), 0u);
+    EXPECT_EQ(mem.read64(mem.size() - 8), 0u);
+
+    const Addr top = mem.size() - 8;
+    mem.write64(top, 0x0123456789abcdefull);
+    EXPECT_EQ(mem.read64(top), 0x0123456789abcdefull);
+    EXPECT_EQ(mem.read8(mem.size() - 1), 0x01);
+    EXPECT_EQ(mem.read64(top - 8), 0u);
+}
+
+TEST(MemImage, AccessAtSizePanics)
+{
+    testing::FLAGS_gtest_death_test_style = "threadsafe";
+    MemImage mem(1 << 16);
+    EXPECT_DEATH(mem.read8(mem.size()), "out of arena");
+    EXPECT_DEATH(mem.write64(mem.size() - 4, 1), "out of arena");
+}
+
+static_assert(!std::is_copy_constructible_v<MemImage>);
+static_assert(!std::is_copy_assignable_v<MemImage>);
+static_assert(std::is_nothrow_move_constructible_v<MemImage>);
+
+TEST(MemImage, MoveTransfersTheArena)
+{
+    testing::FLAGS_gtest_death_test_style = "threadsafe";
+    MemImage a(1 << 16);
+    Addr p = a.alloc(32);
+    a.write32(p, 0xfeedf00du);
+    const u8 *base = a.raw(0, 1);
+
+    MemImage b(std::move(a));
+    EXPECT_EQ(b.size(), size_t(1 << 16));
+    EXPECT_EQ(b.brk(), p + 32);
+    EXPECT_EQ(b.read32(p), 0xfeedf00du);
+    EXPECT_EQ(b.raw(0, 1), base);
+    EXPECT_EQ(a.size(), 0u);
+    EXPECT_DEATH(a.read8(0), "out of arena");
+    // The moved-to image keeps allocating above the moved brk.
+    EXPECT_GE(b.alloc(16), p + 32);
 }
 
 TEST(MemImage, AllocationsDontOverlap)
