@@ -6,12 +6,17 @@
  * more configurations, and which step kernel (fused serial, SoA scalar,
  * AVX2, AVX-512) is doing the stepping.
  *
- * Four sections; the last two are bit-identity-checked against the
- * fused serial oracle:
+ * Five sections; the last three are bit-identity-checked:
  *
  *   simulate  : single-configuration runTrace() across flavours and
  *               machine widths (the classic per-config number);
  *   tracegen  : trace generation itself, cache bypassed on purpose;
+ *   replay    : one app trace on a 3-config group (a fig5 unit), streamed
+ *               from store bytes by TraceRepository::replay (the shipped
+ *               unit path: file read, checksum, varint and DecodedInst
+ *               decode, step) vs stepped from a materialized DecodedStream
+ *               decoded before the clock starts, so the gap is the cost
+ *               of the trace layers; the two must agree bit for bit;
  *   batched   : every runnable step-kernel path x batch widths
  *               {1, 2, 4, 8, 12}, each timed on the same pre-decoded
  *               rgb stream.  Width 1 always takes the fused serial step
@@ -30,10 +35,13 @@
 
 #include <algorithm>
 #include <chrono>
+#include <filesystem>
+#include <unistd.h>
 
 #include "bench_util.hh"
 #include "sim/simd_dispatch.hh"
 #include "trace/decoded.hh"
+#include "trace/trace_store.hh"
 
 using namespace vmmx;
 using namespace vmmx::bench;
@@ -180,6 +188,71 @@ main()
         }
         table.print(std::cout);
         std::cout << '\n';
+    }
+
+    // ---- replay: streamed from store bytes vs a materialized stream --
+    // A fig5-shaped unit (one app trace, ways 2/4/8) replayed both ways,
+    // best of reps.  Scratch is what the replay holds beyond the
+    // machines: the file bytes plus one block, or the whole stream.
+    {
+        namespace fs = std::filesystem;
+        const TraceKey key{true, "jpegenc", SimdKind::MMX64,
+                           TraceRepository::appImageBytes,
+                           TraceRepository::defaultSeed};
+        const fs::path dir = fs::temp_directory_path() /
+                             ("vmmx-bench-replay-" +
+                              std::to_string(::getpid()));
+        TraceStore store(dir.string());
+        const std::vector<InstRecord> &trace =
+            appTrace(key.name, key.kind);
+        if (!store.save(key, trace))
+            panic("cannot save the replay trace in '%s'",
+                  dir.string().c_str());
+        const DecodedStream whole = decodeStream(trace);
+        std::vector<MachineConfig> group;
+        for (unsigned way : {2u, 4u, 8u})
+            group.push_back(makeMachine(key.kind, way));
+        const u64 fileBytes = fs::file_size(store.path(key));
+
+        double tStream = 1e9, tWhole = 1e9;
+        std::vector<RunResult> streamed, materialized;
+        for (int r = 0; r < reps; ++r) {
+            // A fresh repository per rep, as a fresh run would have.
+            TraceRepository repo(&store, 0, 0);
+            auto t0 = clock_t_::now();
+            TraceRepository::Replay replay = repo.replay(key);
+            streamed = runTraceBatch(group, [&] { return replay.next(); });
+            if (!replay.ok() || repo.diskLoads() != 1)
+                identical = false;
+            auto t1 = clock_t_::now();
+            materialized = runTraceBatch(group, whole);
+            auto t2 = clock_t_::now();
+            tStream = std::min(tStream, seconds(t0, t1));
+            tWhole = std::min(tWhole, seconds(t1, t2));
+        }
+        if (streamed != materialized) {
+            identical = false;
+            std::cout << "MISMATCH streamed vs materialized replay\n";
+        }
+        fs::remove_all(dir);
+
+        const double records = double(trace.size());
+        TextTable table({"replay (jpegenc mmx64, 3 configs)", "records",
+                         "wall s", "records/s", "scratch KiB"});
+        table.addRow({"materialized DecodedStream",
+                      std::to_string(trace.size()),
+                      TextTable::num(tWhole, 4),
+                      TextTable::num(records / tWhole, 0),
+                      std::to_string(whole.bytes() / 1024)});
+        table.addRow({"streamed from store bytes",
+                      std::to_string(trace.size()),
+                      TextTable::num(tStream, 4),
+                      TextTable::num(records / tStream, 0),
+                      std::to_string((fileBytes + replayBlock *
+                                                      sizeof(DecodedInst)) /
+                                     1024)});
+        table.print(std::cout);
+        std::cout << "replay block: " << replayBlock << " records\n\n";
     }
 
     // The rgb trace is the longest kernel trace, so each timed pass is

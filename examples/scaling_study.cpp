@@ -40,7 +40,7 @@ main()
 
     // The grid points replaying one trace form a single batched group:
     // each flavour's mpeg2enc trace is generated once in the shared
-    // trace repository and decoded once process-wide while all three
+    // trace repository and decoded block by block while all three
     // machine widths step against it.
     Study study(spec);
     auto results = study.run();

@@ -6,6 +6,7 @@
 #include <iomanip>
 #include <sstream>
 
+#include <sys/resource.h>
 #include <unistd.h>
 
 #include "common/env.hh"
@@ -62,6 +63,14 @@ sanitizerName()
         return VMMX_SANITIZE_NAME;
 #endif
     return "none";
+}
+
+u64
+peakRssBytes()
+{
+    rusage ru{};
+    getrusage(RUSAGE_SELF, &ru);
+    return u64(ru.ru_maxrss) * 1024; // Linux reports KiB
 }
 
 // ---- span tracing --------------------------------------------------------
@@ -302,7 +311,8 @@ Registry::dumpJson(std::ostream &os) const
         os << "\n  }";
     }
     sep();
-    os << "  \"host\": {\n    \"sanitizer\": \"" << jsonEscape(sanitizerName())
+    os << "  \"host\": {\n    \"peak_rss_bytes\": " << peakRssBytes()
+       << ",\n    \"sanitizer\": \"" << jsonEscape(sanitizerName())
        << "\"\n  }";
     sep();
     os << "  \"units\": [";

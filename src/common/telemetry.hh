@@ -73,6 +73,9 @@ u64 nowNs();
  *  so sanitizer-build numbers are never mistaken for real timings. */
 const char *sanitizerName();
 
+/** This process's peak resident set so far, in bytes (getrusage). */
+u64 peakRssBytes();
+
 // ---- span tracing --------------------------------------------------------
 
 /** One completed scoped timer.  pid/workerId key the merged timeline:

@@ -582,7 +582,6 @@ runSweep(const std::vector<SweepPoint> &points, const ExecutionPolicy &policy,
         policy.storeDir.empty() ? TraceStore::defaultDir() : policy.storeDir;
     setup.cacheBudget = policy.rawBudget;
     setup.decodedBudget = policy.decodedBudget;
-    setup.decoded = policy.decoded;
     setup.quiet = vmmx::quiet();
     setup.faultSpec = policy.faultSpec;
     setup.telemetry = telemetry::enabled();

@@ -30,14 +30,16 @@
 namespace vmmx::dist
 {
 
-/** v7: the single-point Job frame is gone -- every unit, one point or
- *  a whole trace group, is a JobGroup frame.  (v6 named the host-SIMD
- *  step-kernel path in each Event unit record; v5 added Event telemetry
- *  frames -- buffered spans + per-unit timing records interleaved with
- *  Results, purely observational; v4 supervised workers with spawn
- *  ordinals and fault specs; v3 the tiered-repository budgets; v2
- *  JobGroup frames.) */
-constexpr u32 protocolVersion = 7;
+/** v8: Setup no longer carries a decoded-tier flag -- kernel/app units
+ *  stream from the store and explicit traces always replay raw in a
+ *  worker.  (v7 retired the single-point Job frame -- every unit, one
+ *  point or a whole trace group, is a JobGroup frame; v6 named the
+ *  host-SIMD step-kernel path in each Event unit record; v5 added Event
+ *  telemetry frames -- buffered spans + per-unit timing records
+ *  interleaved with Results, purely observational; v4 supervised
+ *  workers with spawn ordinals and fault specs; v3 the tiered-repository
+ *  budgets; v2 JobGroup frames.) */
+constexpr u32 protocolVersion = 8;
 
 /** Message types.  Values are stable across versions: the retired Job
  *  type (2) is never reused. */
@@ -58,7 +60,6 @@ struct SetupMsg
     std::string storeDir;   ///< trace store directory ("" = no store)
     u64 cacheBudget = 0;    ///< worker raw-tier RAM budget (0 = unlimited)
     u64 decodedBudget = 0;  ///< worker decoded-tier budget (0 = unlimited)
-    bool decoded = true;    ///< serve jobs from the decoded tier
     bool quiet = true;
     u32 workerId = 0;       ///< spawn ordinal (fault scoping, stable per
                             ///< process across respawns of a slot)

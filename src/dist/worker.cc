@@ -163,6 +163,12 @@ workerServe(int fd)
                          setup.decodedBudget);
     ExecutionPolicy policy;
     policy.repo = &repo;
+    // Explicit traces travel inside the frame -- each frame decodes to
+    // a fresh object, so the repository's identity-keyed decoded tier
+    // could never hit across frames; they replay the raw trace, whose
+    // blockwise decode needs only bounded scratch.  (Kernel/app units
+    // stream from the store whatever this says.)
+    policy.decoded = false;
 
     int rc = 1;
     while (wire::readFrame(fd, frame)) {
@@ -189,19 +195,13 @@ workerServe(int fd)
         }
         fault.onUnit(group.indices); // may exit or stall here
 
-        // Explicit traces travel inside the frame -- each frame decodes
-        // to a fresh object, so the repository's identity-keyed decoded
-        // tier could never hit across frames; those replay the raw
-        // trace, whose blockwise decode needs only bounded scratch.
         const SweepPoint &lead = group.points[0];
-        bool explicitTrace = lead.workload == SweepPoint::Workload::Trace;
-        if (explicitTrace && !lead.trace) {
+        if (lead.workload == SweepPoint::Workload::Trace && !lead.trace) {
             wire::writeFrame(
                 fd, encodeError("job " + std::to_string(group.indices[0]) +
                                 " carries no trace"));
             break;
         }
-        policy.decoded = setup.decoded && !explicitTrace;
         std::vector<u32> unit(group.points.size());
         std::iota(unit.begin(), unit.end(), 0u);
         std::vector<SweepResult> runs(unit.size());

@@ -16,38 +16,50 @@ namespace vmmx
 namespace
 {
 
-/** Raw (tier-1) trace of @p point, pinned while borrowed. */
-TraceRepository::TraceHandle
-resolveRaw(const SweepPoint &point, TraceRepository &repo)
-{
-    if (point.workload == SweepPoint::Workload::Trace)
-        return TraceRepository::TraceHandle(point.trace);
-    return repo.raw(traceKeyFor(point));
-}
-
-/** Decoded (tier-2) stream of @p point, pinned while borrowed. */
-TraceRepository::DecodedHandle
-resolveDecoded(const SweepPoint &point, TraceRepository &repo)
-{
-    if (point.workload == SweepPoint::Workload::Trace)
-        return repo.decoded(point.trace);
-    return repo.decoded(traceKeyFor(point));
-}
-
-/** Resolve @p lead's trace once (decoded tier or raw) and replay it on
- *  every machine; the single tier-dispatch site. */
+/** The oracle's replay: @p lead's raw trace (tier 1 for keyed
+ *  points), decoded on the fly. */
 std::vector<RunResult>
-resolveAndRun(const SweepPoint &lead, std::span<const MachineConfig> machines,
-              TraceRepository &repo, bool useDecoded, u64 &traceLength)
+runRaw(const SweepPoint &lead, std::span<const MachineConfig> machines,
+       TraceRepository &repo, u64 &traceLength)
 {
-    if (useDecoded) {
-        TraceRepository::DecodedHandle stream = resolveDecoded(lead, repo);
+    TraceRepository::TraceHandle trace =
+        lead.workload == SweepPoint::Workload::Trace
+            ? TraceRepository::TraceHandle(lead.trace)
+            : repo.raw(traceKeyFor(lead));
+    traceLength = trace->size();
+    return runTraceBatch(machines, *trace);
+}
+
+/**
+ * Replay @p lead's trace on every machine the way a sweep unit does:
+ * keyed traces stream from their source (TraceRepository::replay);
+ * explicit traces replay from the decoded tier when @p decoded, else
+ * decode on the fly.  The single replay site of every backend.
+ */
+std::vector<RunResult>
+runUnitTrace(const SweepPoint &lead, std::span<const MachineConfig> machines,
+             TraceRepository &repo, bool decoded, u64 &traceLength)
+{
+    if (lead.workload == SweepPoint::Workload::Trace) {
+        if (!decoded)
+            return runRaw(lead, machines, repo, traceLength);
+        TraceRepository::DecodedHandle stream = repo.decoded(lead.trace);
         traceLength = stream.records();
         return runTraceBatch(machines, stream.stream());
     }
-    TraceRepository::TraceHandle trace = resolveRaw(lead, repo);
-    traceLength = trace->size();
-    return runTraceBatch(machines, *trace);
+    // A store file that fails validation part-way is a store miss: the
+    // results stepped from it are dropped and the unit reruns on the
+    // trace the next lookup regenerates.
+    const TraceKey key = traceKeyFor(lead);
+    for (;;) {
+        TraceRepository::Replay replay = repo.replay(key);
+        std::vector<RunResult> runs =
+            runTraceBatch(machines, [&] { return replay.next(); });
+        if (replay.ok()) {
+            traceLength = replay.records();
+            return runs;
+        }
+    }
 }
 
 /** The resolved thread count of @p policy, capped at @p units. */
@@ -128,8 +140,11 @@ runSweepPoint(const SweepPoint &point, const ExecutionPolicy &policy,
                                         point.overrides);
     SweepResult r;
     r.point = point;
-    r.result = resolveAndRun(point, {&machine, 1}, policy.repository(),
-                             useDecoded, r.traceLength)[0];
+    r.result = useDecoded ? runUnitTrace(point, {&machine, 1},
+                                         policy.repository(),
+                                         /*decoded=*/true, r.traceLength)[0]
+                          : runRaw(point, {&machine, 1}, policy.repository(),
+                                   r.traceLength)[0];
     return r;
 }
 
@@ -150,9 +165,7 @@ runSweepUnit(const std::vector<SweepPoint> &points,
              const std::vector<u32> &unit, const ExecutionPolicy &policy,
              std::vector<SweepResult> &results)
 {
-    // One trace resolution and one trace pass for the whole unit; with
-    // the decoded tier on, even the decode happened at most once per
-    // process, not once per unit.
+    // One trace lookup and one pass over the trace for the whole unit.
     std::vector<MachineConfig> machines;
     machines.reserve(unit.size());
     for (u32 i : unit)
@@ -169,9 +182,8 @@ runSweepUnit(const std::vector<SweepPoint> &points,
                            ? std::string()
                            : leadLabel + " simd=" +
                                  simd::pathName(simd::pathFor(unit.size())));
-        runs = resolveAndRun(points[unit[0]], machines,
-                             policy.repository(), policy.decoded,
-                             traceLength);
+        runs = runUnitTrace(points[unit[0]], machines, policy.repository(),
+                            policy.decoded, traceLength);
     }
     if (telemetry::enabled()) {
         telemetry::UnitRecord rec;

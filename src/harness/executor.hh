@@ -22,7 +22,7 @@
  *
  * runSerial() is the decode-on-the-fly oracle the backends are checked
  * against: one point at a time on the calling thread, never batched,
- * never served from the decoded tier.
+ * always replaying the raw (tier-1) trace.
  *
  * The policy's defaults come from the VMMX_* environment variables
  * through ExecutionPolicy::fromEnv() -- the single place those
@@ -63,8 +63,10 @@ struct ExecutionPolicy
     /** Schedule whole trace groups (one batched pass per group); off =
      *  one point per unit.  Bit-identical either way. */
     bool batch = true;
-    /** Serve jobs from the repository's decoded tier; off = decode on
-     *  the fly per job.  Bit-identical either way. */
+    /** How units of explicit-trace points replay: from the repository's
+     *  decoded tier (one decode per trace object), or off = decoded on
+     *  the fly per unit.  Kernel/app units always stream their trace
+     *  from its source in decoded blocks.  Bit-identical either way. */
     bool decoded = true;
     /** Raw (tier-1) trace RAM budget; 0 = unlimited.  Applied to the
      *  per-worker repositories of the Process backend; in-process
@@ -204,9 +206,11 @@ std::vector<SweepResult> runSerial(const std::vector<SweepPoint> &points,
                                    const ExecutionPolicy &policy);
 
 /**
- * Run one grid point under @p policy on the calling thread.
- * @p useDecoded false forces the decode-on-the-fly reference path
- * regardless of policy.decoded (runSerial's baseline).
+ * Run one grid point on the calling thread through @p policy's
+ * repository.  @p useDecoded false takes the decode-on-the-fly
+ * reference path over the raw trace (runSerial's baseline); true
+ * replays it as a sweep unit does, with an explicit trace served from
+ * the decoded tier.
  */
 SweepResult runSweepPoint(const SweepPoint &point,
                           const ExecutionPolicy &policy, bool useDecoded);
@@ -214,10 +218,13 @@ SweepResult runSweepPoint(const SweepPoint &point,
 /**
  * Run one schedulable unit -- points of @p points that replay one trace
  * (a whole trace group, or a single point with batching off) -- as one
- * trace resolution and one runTraceBatch() pass, writing into the
- * submission-order slots of @p results.  The one inner loop of every
- * backend: the Serial and ThreadPool executors, each process worker,
- * and the driver's degraded mode.  Emits the unit's "simulate" span and
+ * trace lookup and one runTraceBatch() pass, writing into the
+ * submission-order slots of @p results.  A kernel/app trace streams
+ * from the store or from its generation in decoded blocks
+ * (TraceRepository::replay), so no whole-trace copy outlives the unit;
+ * an explicit trace replays as policy.decoded says.  The one inner loop
+ * of every backend: the Serial and ThreadPool executors, each process
+ * worker, and the driver's degraded mode.  Emits the unit's "simulate" span and
  * UnitRecord when telemetry is on.  policy.batch is not consulted here;
  * it shapes units only in buildSweepUnits().
  */

@@ -50,24 +50,37 @@ struct Batch
     }
 };
 
-} // namespace
-
+/** One batched pass of @p trace, in any runBatch() shape, over fresh
+ *  per-configuration state for @p machines. */
+template <typename Trace>
 std::vector<RunResult>
-runTraceBatch(std::span<const MachineConfig> machines,
-              const std::vector<InstRecord> &trace)
+runBatched(std::span<const MachineConfig> machines, const Trace &trace)
 {
     Batch batch(machines);
     runBatch(trace, batch.span);
     return batch.collect();
 }
 
+} // namespace
+
+std::vector<RunResult>
+runTraceBatch(std::span<const MachineConfig> machines,
+              const std::vector<InstRecord> &trace)
+{
+    return runBatched(machines, trace);
+}
+
 std::vector<RunResult>
 runTraceBatch(std::span<const MachineConfig> machines,
               const DecodedStream &stream)
 {
-    Batch batch(machines);
-    runBatch(stream, batch.span);
-    return batch.collect();
+    return runBatched(machines, stream);
+}
+
+std::vector<RunResult>
+runTraceBatch(std::span<const MachineConfig> machines, const BlockSource &next)
+{
+    return runBatched(machines, next);
 }
 
 RunResult

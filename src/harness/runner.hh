@@ -4,12 +4,11 @@
  * on a whole batch of configurations in a single pass over the trace --
  * and returns the combined core + memory statistics per configuration.
  *
- * Both entry points come in two shapes: the raw-trace overloads decode
- * on the fly (block-wise), while the DecodedStream overloads replay an
- * already-decoded stream -- typically a TraceRepository tier-2 handle,
- * so the decode is paid once per process instead of once per call.
- * The per-record step order is identical, so the two shapes produce
- * bit-identical results.
+ * Both entry points take the trace in any of runBatch()'s shapes: a
+ * BlockSource (a sweep unit's streamed replay), a raw trace decoded
+ * block by block on the fly, or an already-decoded DecodedStream (an
+ * explicit trace's decoded-tier handle).  The per-record step order is
+ * identical, so every shape produces bit-identical results.
  */
 
 #ifndef VMMX_HARNESS_RUNNER_HH
@@ -54,6 +53,11 @@ std::vector<RunResult> runTraceBatch(std::span<const MachineConfig> machines,
  *  bit-identical to the raw-trace overload on the source trace. */
 std::vector<RunResult> runTraceBatch(std::span<const MachineConfig> machines,
                                      const DecodedStream &stream);
+
+/** Batched replay of the blocks @p next hands out (runBatch()'s one
+ *  form); bit-identical to the raw-trace overload on the same trace. */
+std::vector<RunResult> runTraceBatch(std::span<const MachineConfig> machines,
+                                     const BlockSource &next);
 
 /** Run @p trace on @p machine from cold caches (the batch-of-one case). */
 RunResult runTrace(const MachineConfig &machine,

@@ -9,21 +9,6 @@
 namespace vmmx
 {
 
-namespace
-{
-
-/** Records decoded per block.  Context state (register tables, ROB and
- *  store window, cache tags) is large enough that switching contexts too
- *  often costs more than re-streaming decoded records, so blocks are
- *  sized for a 2 MiB decoded footprint: measured fastest on both short
- *  kernel traces (single block) and multi-MiB app traces, while
- *  bounding the scratch buffer for arbitrarily long traces.  The
- *  pre-decoded (DecodedStream) overload windows its pass with the same
- *  constant so both shapes step contexts in the same block pattern. */
-constexpr size_t decodeBlock = 32768;
-
-} // namespace
-
 SimContext::SimContext(const CoreParams &params, MemorySystem *mem)
     : params_(params),
       mem_(mem),
@@ -239,8 +224,7 @@ SimContext::finish()
 }
 
 void
-runBatch(const std::vector<InstRecord> &trace,
-         std::span<SimContext *const> ctxs)
+runBatch(const BlockSource &next, std::span<SimContext *const> ctxs)
 {
     for (SimContext *ctx : ctxs) {
         vmmx_assert(ctx != nullptr, "null context in batch");
@@ -250,57 +234,49 @@ runBatch(const std::vector<InstRecord> &trace,
         return;
 
     if (ctxs.size() == 1) {
-        // Single configuration: fuse decode and step so no block buffer
-        // is materialized (this is the runTrace path).
+        // Single configuration: the serial fused step (the runTrace
+        // path and the oracle every batched path is diffed against).
         SimContext &ctx = *ctxs[0];
-        for (const InstRecord &inst : trace)
-            ctx.step(decodeInst(inst));
+        for (std::span<const DecodedInst> b = next(); !b.empty(); b = next())
+            for (const DecodedInst &inst : b)
+                ctx.step(inst);
         return;
     }
 
-    // Batched: decode each block once, then advance every context
-    // through it record-major in SoA form -- one DecodedInst drives
-    // all configurations as host-SIMD lanes (sim/simd_step.hh), with
-    // the kernel width picked once per process by the cpuid dispatch.
-    // The step order per context is unchanged, so results stay
-    // bit-identical to the serial fused path above.
+    // Batched: every block advances all contexts record-major in SoA
+    // form -- one DecodedInst drives all configurations as host-SIMD
+    // lanes (sim/simd_step.hh), with the kernel width picked once per
+    // process by the cpuid dispatch.  The step order per context is
+    // unchanged, so results stay bit-identical to the serial path.
     SimBatch batch(ctxs);
     simd::StepFn step = simd::stepFn(simd::activePath());
-    std::vector<DecodedInst> block(std::min(decodeBlock, trace.size()));
-    for (size_t base = 0; base < trace.size(); base += decodeBlock) {
-        size_t n = std::min(decodeBlock, trace.size() - base);
-        for (size_t i = 0; i < n; ++i)
-            block[i] = decodeInst(trace[base + i]);
-        step(batch, block.data(), n);
-    }
+    for (std::span<const DecodedInst> b = next(); !b.empty(); b = next())
+        step(batch, b.data(), b.size());
     batch.finish();
+}
+
+void
+runBatch(const std::vector<InstRecord> &trace,
+         std::span<SimContext *const> ctxs)
+{
+    std::vector<DecodedInst> block(std::min(replayBlock, trace.size()));
+    size_t pos = 0;
+    runBatch([&] { return decodeBlock(trace, pos, block); }, ctxs);
 }
 
 void
 runBatch(const DecodedStream &stream, std::span<SimContext *const> ctxs)
 {
-    for (SimContext *ctx : ctxs) {
-        vmmx_assert(ctx != nullptr, "null context in batch");
-        ctx->reset();
-    }
-    if (ctxs.empty())
-        return;
-
     const std::vector<DecodedInst> &insts = stream.insts;
-    if (ctxs.size() == 1) {
-        SimContext &ctx = *ctxs[0];
-        for (const DecodedInst &inst : insts)
-            ctx.step(inst);
-        return;
-    }
-
-    // Pre-decoded stream: one SoA pass over the whole stream.  The
-    // record-major kernel touches each record exactly once, so the
-    // block windowing of the decoding overload is unnecessary; the
-    // per-context step order is identical record for record.
-    SimBatch batch(ctxs);
-    simd::stepFn(simd::activePath())(batch, insts.data(), insts.size());
-    batch.finish();
+    size_t pos = 0;
+    runBatch(
+        [&] {
+            size_t n = std::min(replayBlock, insts.size() - pos);
+            std::span<const DecodedInst> b(insts.data() + pos, n);
+            pos += n;
+            return b;
+        },
+        ctxs);
 }
 
 } // namespace vmmx

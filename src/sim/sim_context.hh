@@ -30,24 +30,27 @@
  *
  * The decode split: everything about an InstRecord that does not depend
  * on the machine configuration is resolved once into a DecodedInst
- * (trace/decoded.hh -- the decode lives in the trace layer so the
- * TraceRepository can cache whole decoded streams as its tier 2) and
- * shared by every context.  Only the configuration-dependent
- * arbitration (gate widths, queue and pool occupancy, cache state) runs
- * per context.
+ * (trace/decoded.hh) and shared by every context.  Only the
+ * configuration-dependent arbitration (gate widths, queue and pool
+ * occupancy, cache state) runs per context.
  *
- * runBatch() comes in two shapes.  Given a raw trace it processes it in
- * cache-resident blocks, decoding each block once before every context
- * steps through it.  Given an already-decoded DecodedStream (the
- * repository's tier 2) it skips decode entirely and streams the warm
- * blocks -- the per-record step order is identical, so both shapes are
- * bit-identical to running each context over the full trace alone, the
- * guarantee the sweep and dist layers assert.
+ * runBatch() has one form: it pulls decoded blocks from a BlockSource
+ * and steps every context through each block before pulling the next,
+ * so only one block of the trace is resident however long the trace
+ * is.  A sweep unit's source streams a store file or decodes a
+ * generated trace block by block (TraceRepository::Replay).  The
+ * raw-trace and DecodedStream overloads are feeders of the same loop:
+ * one decodes the InstRecords replayBlock at a time, the other hands
+ * out slices of the stream.  The per-record step order is the same
+ * whatever the source, so every feeder is bit-identical to running each
+ * context over the full trace alone, the guarantee the sweep and dist
+ * layers assert.
  */
 
 #ifndef VMMX_SIM_SIM_CONTEXT_HH
 #define VMMX_SIM_SIM_CONTEXT_HH
 
+#include <functional>
 #include <span>
 #include <vector>
 
@@ -138,22 +141,27 @@ class SimContext
 };
 
 /**
- * Replay @p trace once, stepping every context in @p ctxs against each
- * record: one decode, one pass over trace memory, N configurations'
- * worth of statistics.  Each context is reset() first; collect results
- * with SimContext::finish().  Bit-identical to running each context
- * over the trace alone.
+ * A pull source of decoded blocks: each call returns the next block of
+ * the trace (at most replayBlock records, valid until the next call);
+ * an empty block ends the replay.
  */
+using BlockSource = std::function<std::span<const DecodedInst>()>;
+
+/**
+ * Replay the blocks of @p next once, stepping every context in @p ctxs
+ * through each block before pulling the next: one pass over the trace,
+ * N configurations' worth of statistics.  Each context is reset()
+ * first; collect results with SimContext::finish().  Bit-identical to
+ * running each context over the trace alone.
+ */
+void runBatch(const BlockSource &next, std::span<SimContext *const> ctxs);
+
+/** runBatch() over @p trace, decoded one block at a time. */
 void runBatch(const std::vector<InstRecord> &trace,
               std::span<SimContext *const> ctxs);
 
-/**
- * Replay an already-decoded stream (e.g. the TraceRepository's tier 2)
- * through every context in @p ctxs: no decode at all, one pass over the
- * warm decoded blocks.  Step order per context is identical to the
- * raw-trace overload, so results are bit-identical to it -- and to
- * running each context alone.
- */
+/** runBatch() over an already-decoded stream (an explicit trace's
+ *  decoded tier), block by block with no decode at all. */
 void runBatch(const DecodedStream &stream,
               std::span<SimContext *const> ctxs);
 

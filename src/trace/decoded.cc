@@ -1,5 +1,7 @@
 #include "trace/decoded.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 
 namespace vmmx
@@ -100,13 +102,24 @@ decodeInst(const InstRecord &inst)
     return d;
 }
 
+std::span<const DecodedInst>
+decodeBlock(const std::vector<InstRecord> &trace, size_t &pos,
+            std::vector<DecodedInst> &block)
+{
+    size_t n = std::min(block.size(), trace.size() - pos);
+    for (size_t i = 0; i < n; ++i)
+        block[i] = decodeInst(trace[pos + i]);
+    pos += n;
+    return {block.data(), n};
+}
+
 DecodedStream
 decodeStream(const std::vector<InstRecord> &trace)
 {
     DecodedStream s;
-    s.insts.reserve(trace.size());
-    for (const InstRecord &inst : trace)
-        s.insts.push_back(decodeInst(inst));
+    s.insts.resize(trace.size());
+    size_t pos = 0;
+    decodeBlock(trace, pos, s.insts);
     return s;
 }
 

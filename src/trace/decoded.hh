@@ -5,24 +5,21 @@
  * Everything about an InstRecord that does not depend on the machine
  * configuration -- opcode traits, source/destination register slots,
  * memory footprint bounds, branch kind and outcome -- is resolved once
- * into a DecodedInst.  A DecodedStream is the full trace decoded this
- * way: an immutable, shareable artifact that any number of SimContexts
- * (and any number of sweep groups, threads, and batched passes) can
- * replay without re-deriving a single record.
+ * into a DecodedInst, which any number of SimContexts replay without
+ * re-deriving a single record.
  *
- * The stream lives in the trace layer, not the sim layer, because it is
- * a property of the trace alone: the TraceRepository caches decoded
- * streams as its tier 2.  A stream is built either from a resident raw
- * InstRecord vector (decodeStream) or straight from store bytes, one
- * record at a time (decodeTrace into a DecodedStream), so a warm store
- * fills tier 2 without ever holding the raw trace (a decoded stream is
- * ~1.3x the raw bytes).
+ * Traces reach the step kernel as blocks of at most replayBlock
+ * DecodedInsts, decoded just before they are stepped, from store bytes
+ * (TraceCursor) or an InstRecord vector (decodeBlock).  A DecodedStream
+ * is a whole trace decoded at once: the TraceRepository keeps one per
+ * explicitly supplied trace, so replaying it many times decodes once.
  */
 
 #ifndef VMMX_TRACE_DECODED_HH
 #define VMMX_TRACE_DECODED_HH
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "isa/inst.hh"
@@ -77,7 +74,7 @@ struct DecodedInst
 
 /** Logical register table size per RegClass (Int, Fp, Simd, Acc):
  *  decodeInst() requires every register index below its class's size,
- *  and decodeTrace() rejects records that break it. */
+ *  and TraceCursor rejects records that break it. */
 constexpr size_t logicalTableSize[numRegClasses] = {64, 64, 64, 8};
 
 /** Flat per-logical-register ready-table size the decoded slot numbers
@@ -89,25 +86,35 @@ constexpr size_t decodedReadySlots = 200;
 /** Resolve the configuration-independent properties of @p inst. */
 DecodedInst decodeInst(const InstRecord &inst);
 
+/** Records per replay block: 224 KiB of DecodedInsts stays in L2 while
+ *  every configuration steps it, and bounds a replay's scratch.  32768
+ *  measured no faster (bench_sim_throughput's replay rows). */
+constexpr size_t replayBlock = 4096;
+
+/** Decode up to block.size() records of @p trace from @p pos into
+ *  @p block and advance @p pos; empty once @p pos reaches the end. */
+std::span<const DecodedInst> decodeBlock(const std::vector<InstRecord> &trace,
+                                         size_t &pos,
+                                         std::vector<DecodedInst> &block);
+
 /**
  * A whole trace decoded record for record.  Immutable once built; the
- * TraceRepository hands it out behind SharedDecoded so concurrent sweep
- * groups replay one decode instead of one per group.
+ * TraceRepository hands explicit traces' streams out behind
+ * SharedDecoded so every group replaying one shares one decode.
  */
 struct DecodedStream
 {
     std::vector<DecodedInst> insts;
 
     size_t size() const { return insts.size(); }
-    bool empty() const { return insts.empty(); }
     /** Resident footprint (the tier-2 budget accounting unit). */
     u64 bytes() const { return insts.size() * sizeof(DecodedInst); }
 };
 
-/** Immutable, shareable decoded stream (tier-2 cache handle payload). */
+/** Immutable, shareable decoded stream (decoded-tier handle payload). */
 using SharedDecoded = std::shared_ptr<const DecodedStream>;
 
-/** Decode every record of @p trace (the tier-2 fill operation). */
+/** Decode every record of @p trace (the decoded-tier fill). */
 DecodedStream decodeStream(const std::vector<InstRecord> &trace);
 
 } // namespace vmmx

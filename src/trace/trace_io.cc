@@ -1,5 +1,6 @@
 #include "trace/trace_io.hh"
 
+#include <algorithm>
 #include <sstream>
 
 #include "trace/decoded.hh"
@@ -145,29 +146,24 @@ encodeTrace(const std::vector<InstRecord> &trace, wire::Writer &w)
     }
 }
 
-namespace
+TraceCursor::TraceCursor(const wire::Reader &r) : r_(r)
 {
+    count_ = r_.varint();
+    // A record is at least 5 bytes: no buffer is sized by absurd counts.
+    ok_ = r_.ok() && count_ <= r_.remaining();
+}
 
-/** The one record loop: every decoded record goes to @p out through
- *  @p convert (a copy for raw records, decodeInst() for the decoded
- *  tier). */
-template <typename T, typename Convert>
-bool
-decodeRecords(wire::Reader &r, std::vector<T> &out, Convert convert)
+template <typename Emit>
+size_t
+TraceCursor::fill(size_t max, Emit emit)
 {
-    u64 count = r.varint();
-    if (!r.ok())
-        return false;
-    // A record is at least 5 bytes; reject absurd counts before reserving.
-    if (count > r.remaining())
-        return false;
-    out.clear();
-    out.reserve(size_t(count));
-    Addr prevAddr = 0;
-    u32 prevStatic = 0;
-    u16 prevRegion = 0;
-    for (u64 n = 0; n < count; ++n) {
-        InstRecord i;
+    const size_t n = ok_ ? size_t(std::min<u64>(max, count_ - n_)) : 0;
+    // The reader and the delta bases live in locals for the loop.
+    wire::Reader r = r_;
+    Addr prevAddr = prevAddr_;
+    u32 prevStatic = prevStatic_;
+    u16 prevRegion = prevRegion_;
+    auto record = [&](InstRecord &i) {
         u8 op = r.byte();
         if (op >= static_cast<u8>(Opcode::NUM_OPCODES))
             return false;
@@ -190,12 +186,9 @@ decodeRecords(wire::Reader &r, std::vector<T> &out, Convert convert)
         // validation downstream), never overflow a signed add.
         i.staticId = u32(u64(prevStatic) + u64(r.svarint()));
         prevStatic = i.staticId;
-        if (flags & flagNewRegion) {
-            i.region = u16(r.varint());
-            prevRegion = i.region;
-        } else {
-            i.region = prevRegion;
-        }
+        if (flags & flagNewRegion)
+            prevRegion = u16(r.varint());
+        i.region = prevRegion;
         if (flags & flagHasMem) {
             i.addr = prevAddr + u64(r.svarint());
             prevAddr = i.addr;
@@ -204,26 +197,42 @@ decodeRecords(wire::Reader &r, std::vector<T> &out, Convert convert)
         }
         if (flags & flagHasVl)
             i.vl = u16(r.varint());
-        if (!r.ok())
-            return false;
-        out.push_back(convert(i));
+        return r.ok();
+    };
+    size_t k = 0;
+    for (; k < n; ++k) {
+        InstRecord i;
+        if (!record(i))
+            break;
+        emit(k, i);
     }
-    return true;
+    r_ = r;
+    prevAddr_ = prevAddr;
+    prevStatic_ = prevStatic;
+    prevRegion_ = prevRegion;
+    n_ += k;
+    ok_ = ok_ && k == n;
+    return k;
 }
 
-} // namespace
+size_t
+TraceCursor::read(DecodedInst *out, size_t max)
+{
+    return fill(max, [out](size_t k, const InstRecord &i) {
+        out[k] = decodeInst(i);
+    });
+}
 
 bool
 decodeTrace(wire::Reader &r, std::vector<InstRecord> &out)
 {
-    return decodeRecords(r, out, [](const InstRecord &i) { return i; });
-}
-
-bool
-decodeTrace(wire::Reader &r, DecodedStream &out)
-{
-    return decodeRecords(r, out.insts,
-                         [](const InstRecord &i) { return decodeInst(i); });
+    TraceCursor records(r);
+    out.clear();
+    out.reserve(records.ok() ? size_t(records.size()) : 0);
+    records.fill(size_t(records.size()),
+                 [&out](size_t, const InstRecord &i) { out.push_back(i); });
+    r = records.reader();
+    return records.done();
 }
 
 void

@@ -32,7 +32,7 @@
 namespace vmmx
 {
 
-struct DecodedStream;
+struct DecodedInst;
 
 /** Immutable, shareable dynamic instruction trace. */
 using SharedTrace = std::shared_ptr<const std::vector<InstRecord>>;
@@ -64,17 +64,52 @@ struct TraceKey
 /** Append @p trace to @p w (varint count + delta-encoded records). */
 void encodeTrace(const std::vector<InstRecord> &trace, wire::Writer &w);
 
+/** Decodes an encodeTrace() payload a block at a time: the one record
+ *  loop and set of record checks behind every trace decode.  A register
+ *  index outside its class's logical table is malformed too, so hostile
+ *  bytes fail here, not in decodeInst(). */
+class TraceCursor
+{
+  public:
+    /** Reads the record count from a copy of @p r; a truncated or
+     *  absurd count (more records than bytes left) fails the cursor. */
+    explicit TraceCursor(const wire::Reader &r);
+
+    /** Records the payload declares. */
+    u64 size() const { return count_; }
+
+    /** Decode up to @p max further records through decodeInst() into
+     *  @p out.  @return how many; fewer than @p max only at the end or
+     *  on a malformed record, which fails the cursor. */
+    size_t read(DecodedInst *out, size_t max);
+
+    /** No malformed count or record so far. */
+    bool ok() const { return ok_; }
+    /** Every declared record read, all well formed. */
+    bool done() const { return ok_ && n_ == count_; }
+    /** The reader, just past the last record read. */
+    const wire::Reader &reader() const { return r_; }
+
+  private:
+    friend bool decodeTrace(wire::Reader &r, std::vector<InstRecord> &out);
+    /** The record loop: hands up to @p max records to @p emit(k, i). */
+    template <typename Emit>
+    size_t fill(size_t max, Emit emit);
+
+    wire::Reader r_;
+    u64 count_ = 0;
+    u64 n_ = 0;
+    Addr prevAddr_ = 0;
+    u32 prevStatic_ = 0;
+    u16 prevRegion_ = 0;
+    bool ok_ = true;
+};
+
 /**
- * Decode a trace previously written by encodeTrace().  A record whose
- * register index lies outside its class's logical table is malformed
- * too, so hostile bytes fail here instead of in decodeInst().
+ * Decode a whole trace previously written by encodeTrace().
  * @return false (leaving @p out unspecified) on a malformed stream.
  */
 bool decodeTrace(wire::Reader &r, std::vector<InstRecord> &out);
-
-/** Same stream, each record handed to decodeInst() as it is read: the
- *  decoded tier fills without building an InstRecord vector. */
-bool decodeTrace(wire::Reader &r, DecodedStream &out);
 
 void serialize(wire::Writer &w, const TraceKey &key);
 bool deserialize(wire::Reader &r, TraceKey &key);

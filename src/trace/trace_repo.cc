@@ -1,6 +1,5 @@
 #include "trace/trace_repo.hh"
 
-#include <cstdlib>
 #include <iomanip>
 #include <sstream>
 
@@ -38,7 +37,12 @@ struct TraceRepository::Entry
     SharedDecoded decoded; ///< tier 2 (null until filled / after eviction)
     std::atomic<bool> rawResident{false};
     std::atomic<bool> decodedResident{false};
+    /** The store holds a valid copy (saved, or read whole, here). */
     std::atomic<bool> onDisk{false};
+    std::atomic<u64> saves{0}; ///< store saves, written under build
+    /** `saves` when a replay found the store's copy malformed: replays
+     *  skip the store until the next save replaces it. */
+    std::atomic<u64> rejected{~0ull};
     std::atomic<u64> lastUseRaw{0};
     std::atomic<u64> lastUseDecoded{0};
     std::atomic<u32> rawPins{0};
@@ -49,76 +53,13 @@ struct TraceRepository::Entry
 
 // ---- pin handles ---------------------------------------------------------
 
-TraceRepository::TraceHandle::TraceHandle(SharedTrace t,
-                                          std::shared_ptr<Entry> e)
-    : trace_(std::move(t)), entry_(std::move(e))
+std::shared_ptr<void>
+TraceRepository::pin(std::shared_ptr<Entry> e, std::atomic<u32> Entry::*count)
 {
-}
-
-TraceRepository::TraceHandle::TraceHandle(TraceHandle &&o) noexcept =
-    default;
-
-TraceRepository::TraceHandle &
-TraceRepository::TraceHandle::operator=(TraceHandle &&o) noexcept
-{
-    if (this != &o) {
-        release();
-        trace_ = std::move(o.trace_);
-        entry_ = std::move(o.entry_);
-        o.trace_ = nullptr;
-        o.entry_ = nullptr;
-    }
-    return *this;
-}
-
-TraceRepository::TraceHandle::~TraceHandle()
-{
-    release();
-}
-
-void
-TraceRepository::TraceHandle::release()
-{
-    if (entry_)
-        entry_->rawPins.fetch_sub(1, std::memory_order_release);
-    entry_ = nullptr;
-    trace_ = nullptr;
-}
-
-TraceRepository::DecodedHandle::DecodedHandle(SharedDecoded s,
-                                              std::shared_ptr<Entry> e)
-    : stream_(std::move(s)), entry_(std::move(e))
-{
-}
-
-TraceRepository::DecodedHandle::DecodedHandle(DecodedHandle &&o) noexcept =
-    default;
-
-TraceRepository::DecodedHandle &
-TraceRepository::DecodedHandle::operator=(DecodedHandle &&o) noexcept
-{
-    if (this != &o) {
-        release();
-        stream_ = std::move(o.stream_);
-        entry_ = std::move(o.entry_);
-        o.stream_ = nullptr;
-        o.entry_ = nullptr;
-    }
-    return *this;
-}
-
-TraceRepository::DecodedHandle::~DecodedHandle()
-{
-    release();
-}
-
-void
-TraceRepository::DecodedHandle::release()
-{
-    if (entry_)
-        entry_->decodedPins.fetch_sub(1, std::memory_order_release);
-    entry_ = nullptr;
-    stream_ = nullptr;
+    ((*e).*count).fetch_add(1, std::memory_order_relaxed);
+    return std::shared_ptr<void>(nullptr, [e, count](void *) {
+        ((*e).*count).fetch_sub(1, std::memory_order_release);
+    });
 }
 
 // ---- construction --------------------------------------------------------
@@ -130,8 +71,6 @@ TraceRepository::TraceRepository(TraceStore *store, u64 rawBudgetBytes,
       decodedBudget_(decodedBudgetBytes)
 {
 }
-
-TraceRepository::~TraceRepository() = default;
 
 TraceRepository &
 TraceRepository::instance()
@@ -148,12 +87,6 @@ TraceRepository::instance()
     }();
     static TraceRepository repo(store);
     return repo;
-}
-
-void
-TraceRepository::attachStore(TraceStore *store)
-{
-    store_ = store;
 }
 
 // ---- lookups -------------------------------------------------------------
@@ -227,47 +160,43 @@ TraceRepository::materializeRaw(Entry &e)
             return installRaw(e, std::move(t));
         }
     }
-    return generateRaw(e);
+    return installRaw(e, generate(e));
 }
 
 SharedTrace
-TraceRepository::generateRaw(Entry &e)
+TraceRepository::generate(Entry &e)
 {
-    vmmx_assert(e.keyed, "only keyed entries own a raw tier");
+    vmmx_assert(e.keyed, "only keyed entries can be generated");
     std::vector<InstRecord> trace;
     {
         TELEMETRY_SPAN("trace.generate", telemetry::enabled()
                                              ? e.key.name
                                              : std::string());
-        const TraceKey &key = e.key;
-        MemImage mem(key.imageBytes);
-        Rng rng(key.seed);
-        if (key.isApp) {
-            auto a = makeApp(key.name);
-            a->prepare(mem, rng);
-            Program p(mem, key.kind);
-            a->emit(p);
-            trace = p.takeTrace();
-        } else {
-            auto k = makeKernel(key.name);
-            k->prepare(mem, rng);
-            Program p(mem, key.kind);
-            k->emit(p);
-            trace = p.takeTrace();
-        }
+        MemImage mem(e.key.imageBytes);
+        Rng rng(e.key.seed);
+        auto run = [&](auto workload) {
+            workload->prepare(mem, rng);
+            Program p(mem, e.key.kind);
+            workload->emit(p);
+            return p.takeTrace();
+        };
+        trace = e.key.isApp ? run(makeApp(e.key.name))
+                            : run(makeKernel(e.key.name));
     }
 
     ++generations_;
-    installRaw(e, std::make_shared<const std::vector<InstRecord>>(
-                      std::move(trace)));
+    auto t =
+        std::make_shared<const std::vector<InstRecord>>(std::move(trace));
     if (store_) {
         TELEMETRY_SPAN("trace.storeSave", telemetry::enabled()
                                               ? e.key.name
                                               : std::string());
-        if (store_->save(e.key, *e.raw))
+        if (store_->save(e.key, *t)) {
+            ++e.saves;
             e.onDisk = true;
+        }
     }
-    return e.raw;
+    return t;
 }
 
 SharedTrace
@@ -281,38 +210,6 @@ TraceRepository::installRaw(Entry &e, SharedTrace t)
     return e.raw;
 }
 
-void
-TraceRepository::releaseRaw(Entry &e)
-{
-    e.raw.reset();
-    e.rawResident = false;
-    bytesRaw_ -= e.rawBytes;
-}
-
-void
-TraceRepository::installDecoded(Entry &e, SharedDecoded d)
-{
-    e.decoded = std::move(d);
-    e.decodedBytes = e.decoded->bytes();
-    e.decodedResident = true;
-    bytesDecoded_ += e.decodedBytes;
-    ++decodes_;
-}
-
-TraceRepository::TraceHandle
-TraceRepository::kernel(const std::string &name, SimdKind kind,
-                        u32 imageBytes, u64 seed)
-{
-    return raw({false, name, kind, imageBytes, seed});
-}
-
-TraceRepository::TraceHandle
-TraceRepository::app(const std::string &name, SimdKind kind, u32 imageBytes,
-                     u64 seed)
-{
-    return raw({true, name, kind, imageBytes, seed});
-}
-
 TraceRepository::TraceHandle
 TraceRepository::raw(const TraceKey &key)
 {
@@ -323,61 +220,84 @@ TraceRepository::raw(const TraceKey &key)
         ++rawHits_;
     else
         materializeRaw(*entry);
-    SharedTrace t = entry->raw;
-    entry->rawPins.fetch_add(1, std::memory_order_relaxed);
+    TraceHandle h(entry->raw);
+    h.pin_ = pin(entry, &Entry::rawPins);
     touchRawAndEnforce(entry.get());
-    return TraceHandle(std::move(t), std::move(entry));
+    return h;
 }
 
-TraceRepository::DecodedHandle
-TraceRepository::decoded(const TraceKey &key)
+TraceRepository::Replay
+TraceRepository::replay(const TraceKey &key)
 {
-    std::shared_ptr<Entry> entry = entryFor(key);
+    Replay r;
+    r.repo_ = this;
+    r.entry_ = entryFor(key);
+    Entry &e = *r.entry_;
+    auto trusted = [&] { return e.rejected.load() != e.saves.load(); };
+    // Warm: stream the store file.  No entry lock is held, so units of
+    // one key (batching off) stream it side by side.
+    if (trusted() && openStored(r))
+        return r;
 
-    std::lock_guard<std::mutex> build(entry->build);
-    if (entry->decoded) {
-        ++decodedHits_;
-    } else if (!entry->raw && store_ && streamFromDisk(*entry)) {
-        // Filled straight from the store; tier 1 was never involved.
+    // A miss generates under the entry lock, so concurrent units of one
+    // key generate it once: the others find it resident or on disk.
+    std::lock_guard<std::mutex> build(e.build);
+    if (e.raw) {
+        ++rawHits_;
+        r.trace_ = e.raw;
+        touchRawAndEnforce(&e);
+    } else if (e.onDisk.load() && trusted() && openStored(r)) {
+        return r;
     } else {
-        // Decode the resident raw copy, or generate (and save) one.  A
-        // generated copy that reached the disk is transient: tier 2
-        // re-materializes from the store, so keeping it would only hold
-        // the trace in RAM twice.  (With a store attached the disk load
-        // was just tried, so a missing raw copy means generating.)
-        const bool fresh = !entry->raw;
-        SharedTrace src = fresh ? generateRaw(*entry) : entry->raw;
-        {
-            TELEMETRY_SPAN("trace.decode", telemetry::enabled()
-                                               ? key.name
-                                               : std::string());
-            installDecoded(*entry, std::make_shared<const DecodedStream>(
-                                       decodeStream(*src)));
+        // With the trace on disk the unit holds the only copy, so it
+        // goes with the unit; otherwise (no store, or the save failed)
+        // it stays in tier 1, as raw() keeps it.
+        r.trace_ = generate(e);
+        if (!e.onDisk.load()) {
+            installRaw(e, r.trace_);
+            touchRawAndEnforce(&e);
         }
-        if (fresh && entry->onDisk.load() && entry->rawPins.load() == 0)
-            releaseRaw(*entry);
-        else
-            entry->lastUseRaw = ++useClock_;
     }
-    SharedDecoded s = entry->decoded;
-    entry->decodedPins.fetch_add(1, std::memory_order_relaxed);
-    touchDecodedAndEnforce(entry.get());
-    return DecodedHandle(std::move(s), std::move(entry));
+    return r;
 }
 
 bool
-TraceRepository::streamFromDisk(Entry &e)
+TraceRepository::openStored(Replay &r)
 {
-    TELEMETRY_SPAN("trace.diskLoad", telemetry::enabled()
-                                         ? e.key.name
-                                         : std::string());
-    SharedDecoded d = store_->loadDecoded(e.key);
-    if (!d)
+    if (!store_)
         return false;
-    e.onDisk = true;
-    ++diskLoads_;
-    installDecoded(e, std::move(d));
-    return true;
+    TELEMETRY_SPAN("trace.diskLoad", telemetry::enabled()
+                                         ? r.entry_->key.name
+                                         : std::string());
+    r.saves_ = r.entry_->saves.load();
+    if (std::optional<wire::Reader> payload =
+            store_->open(r.entry_->key, r.bytes_))
+        r.records_.emplace(*payload);
+    return r.records_.has_value();
+}
+
+std::span<const DecodedInst>
+TraceRepository::Replay::next()
+{
+    if (!records_)
+        return decodeBlock(*trace_, pos_, block_);
+    if (ended_)
+        return {};
+    size_t n = records_->read(block_.data(), block_.size());
+    if (n < block_.size()) {
+        // The end, or a malformed record: reject the file unless a
+        // save replaced it since this replay opened it.
+        ended_ = true;
+        ok_ = repo_->store_->finish(
+            entry_->key, records_->done() && records_->reader().atEnd());
+        if (ok_) {
+            ++repo_->diskLoads_;
+            entry_->onDisk = true;
+        } else {
+            entry_->rejected = saves_;
+        }
+    }
+    return {block_.data(), ok_ ? n : 0};
 }
 
 TraceRepository::DecodedHandle
@@ -390,13 +310,18 @@ TraceRepository::decoded(const SharedTrace &trace)
         ++decodedHits_;
     } else {
         TELEMETRY_SPAN("trace.decode");
-        installDecoded(*entry, std::make_shared<const DecodedStream>(
-                                   decodeStream(*trace)));
+        entry->decoded =
+            std::make_shared<const DecodedStream>(decodeStream(*trace));
+        entry->decodedBytes = entry->decoded->bytes();
+        entry->decodedResident = true;
+        bytesDecoded_ += entry->decodedBytes;
+        ++decodes_;
     }
-    SharedDecoded s = entry->decoded;
-    entry->decodedPins.fetch_add(1, std::memory_order_relaxed);
+    DecodedHandle h;
+    h.stream_ = entry->decoded;
+    h.pin_ = pin(entry, &Entry::decodedPins);
     touchDecodedAndEnforce(entry.get());
-    return DecodedHandle(std::move(s), std::move(entry));
+    return h;
 }
 
 // ---- budgets -------------------------------------------------------------
@@ -492,7 +417,9 @@ TraceRepository::enforceBudgets(Entry *keep)
             }
         } else {
             if (victim->rawResident.load() && victim->rawPins.load() == 0) {
-                releaseRaw(*victim);
+                victim->raw.reset();
+                victim->rawResident = false;
+                bytesRaw_ -= victim->rawBytes;
                 ++rawEvictions_;
             }
         }
@@ -587,24 +514,6 @@ TraceRepository::publishMetrics() const
     reg.setGauge("repo.decoded.hits", decT.hits);
     reg.setGauge("repo.decoded.evictions", decT.evictions);
     reg.setGauge("repo.decoded.bytes", decT.bytes);
-}
-
-void
-TraceRepository::clear()
-{
-    std::lock_guard<std::mutex> lock(registryMu_);
-    keyed_.clear();
-    adopted_.clear();
-    bytesRaw_ = 0;
-    bytesDecoded_ = 0;
-    generations_ = 0;
-    diskLoads_ = 0;
-    rawFills_ = 0;
-    decodes_ = 0;
-    rawHits_ = 0;
-    decodedHits_ = 0;
-    rawEvictions_ = 0;
-    decodedEvictions_ = 0;
 }
 
 } // namespace vmmx

@@ -6,27 +6,21 @@
  *   tier 0  disk     content-addressed TraceStore files (delta+varint
  *                    codec, checksummed, shared across processes)
  *   tier 1  raw      InstRecord vectors in RAM (SharedTrace)
- *   tier 2  decoded  DecodedStream blocks in RAM (~1.3x the raw bytes),
- *                    so the per-record decode is paid once per process,
- *                    not once per sweep group
+ *   tier 2  decoded  DecodedStream blocks in RAM (~1.2x the raw bytes)
+ *                    of explicitly supplied traces
  *
  * Trace generation is execution driven and deterministic in the
- * TraceKey, so every tier is content addressed by construction: a key
- * maps to exactly one raw trace and exactly one decoded stream.  The
- * fill chains are
+ * TraceKey, so every tier is content addressed by construction.
  *
- *   decoded <- disk | raw        raw <- disk | generate
- *
- * A decoded miss decodes the resident raw copy if there is one;
- * otherwise it streams the store file straight into a DecodedStream,
- * record by record, without building an InstRecord vector; only on a
- * store miss does it generate (and save) the trace and decode that.
- * So with a store attached, tier 1 is transient for decoded lookups: a
- * generated raw copy that reached the disk is dropped right after its
- * decode, and a warm store never fills tier 1 at all.  raw() lookups
- * still fill and keep tier 1.  Without a store, the raw copy stays.
- * Explicitly supplied traces (custom programs, tests) join tier 2
- * keyed by object identity, so their decode is amortized too.
+ * A sweep unit replays a keyed trace through replay(), a decoded block
+ * at a time, and keeps nothing past the unit: a store file is checked
+ * whole, then decoded block by block with no entry lock held; on a
+ * store miss the trace is generated under the entry's mutex (so units
+ * of one key generate it once) and saved, and the generated vector goes
+ * with the unit once it is on disk -- without a store it stays in tier
+ * 1.  raw() lookups (the runSerial oracle, benches) fill and keep tier
+ * 1.  Explicitly supplied traces join tier 2 keyed by object identity,
+ * so replaying one in many groups decodes it once.
  *
  * Tiers 1 and 2 share one LRU clock and one eviction pass: each tier
  * has its own byte budget (VMMX_TRACE_CACHE_BUDGET for raw,
@@ -35,7 +29,7 @@
  * *evictable* entry of that tier drops its bytes.  Raw copies are
  * evictable only when mirrored on disk (without a store the raw budget
  * is accounting-only); decoded streams are always evictable because
- * they re-materialize from disk or tier 1.  Outstanding RAII pin
+ * they re-decode from their explicit trace.  Outstanding RAII pin
  * handles (TraceHandle, DecodedHandle) make an entry's tier
  * ineligible, so borrowed traces and decoded streams can never be
  * dropped under a consumer -- eviction only ever affects when memory
@@ -80,7 +74,7 @@ class TraceRepository
 
     /**
      * @param store optional persistent tier 0 (not owned; must outlive
-     *              the repository or be detached first).
+     *              the repository).
      * @param rawBudgetBytes tier-1 RAM budget; 0 = unlimited.
      * @param decodedBudgetBytes tier-2 RAM budget; 0 = unlimited.
      */
@@ -88,18 +82,12 @@ class TraceRepository
         TraceStore *store = nullptr,
         u64 rawBudgetBytes = env::byteSize("VMMX_TRACE_CACHE_BUDGET"),
         u64 decodedBudgetBytes = env::byteSize("VMMX_DECODED_CACHE_BUDGET"));
-    ~TraceRepository();
     TraceRepository(const TraceRepository &) = delete;
     TraceRepository &operator=(const TraceRepository &) = delete;
 
     /** The shared per-process repository used by benches and the sweep
      *  engine.  Attaches a store iff $VMMX_TRACE_STORE is set. */
     static TraceRepository &instance();
-
-    /** Attach (or with nullptr detach) the persistent tier.  Not
-     *  thread-safe against concurrent lookups; call before sweeping. */
-    void attachStore(TraceStore *store);
-    TraceStore *store() const { return store_; }
 
     void setRawBudget(u64 bytes) { rawBudget_.store(bytes); }
     void setDecodedBudget(u64 bytes) { decodedBudget_.store(bytes); }
@@ -125,11 +113,8 @@ class TraceRepository
          *  no repository -- lets explicit traces flow through the same
          *  consumer paths as repository-resident ones. */
         explicit TraceHandle(SharedTrace t) : trace_(std::move(t)) {}
-        TraceHandle(TraceHandle &&o) noexcept;
-        TraceHandle &operator=(TraceHandle &&o) noexcept;
-        TraceHandle(const TraceHandle &) = delete;
-        TraceHandle &operator=(const TraceHandle &) = delete;
-        ~TraceHandle();
+        TraceHandle(TraceHandle &&) = default;
+        TraceHandle &operator=(TraceHandle &&) = default;
 
         const std::vector<InstRecord> &operator*() const { return *trace_; }
         const std::vector<InstRecord> *operator->() const
@@ -143,26 +128,20 @@ class TraceRepository
 
       private:
         friend class TraceRepository;
-        TraceHandle(SharedTrace t, std::shared_ptr<Entry> e);
-        void release();
         SharedTrace trace_;
-        std::shared_ptr<Entry> entry_;
+        std::shared_ptr<void> pin_; ///< releases the pin with the handle
     };
 
     /**
      * RAII pin on a decoded (tier-2) stream.  Same contract as
-     * TraceHandle: the pinned stream survives any budget pressure, and
-     * the shared_ptr keeps the data alive even past clear().
+     * TraceHandle: the pinned stream survives any budget pressure.
      */
     class DecodedHandle
     {
       public:
         DecodedHandle() = default;
-        DecodedHandle(DecodedHandle &&o) noexcept;
-        DecodedHandle &operator=(DecodedHandle &&o) noexcept;
-        DecodedHandle(const DecodedHandle &) = delete;
-        DecodedHandle &operator=(const DecodedHandle &) = delete;
-        ~DecodedHandle();
+        DecodedHandle(DecodedHandle &&) = default;
+        DecodedHandle &operator=(DecodedHandle &&) = default;
 
         const DecodedStream &stream() const { return *stream_; }
         const DecodedStream *get() const { return stream_.get(); }
@@ -172,27 +151,74 @@ class TraceRepository
 
       private:
         friend class TraceRepository;
-        DecodedHandle(SharedDecoded s, std::shared_ptr<Entry> e);
-        void release();
         SharedDecoded stream_;
-        std::shared_ptr<Entry> entry_;
+        std::shared_ptr<void> pin_;
     };
 
     // ---- tier-1 lookups (raw InstRecord traces) ----------------------
     /** Trace of a Table II kernel, built at most once per key. */
     TraceHandle kernel(const std::string &name, SimdKind kind,
                        u32 imageBytes = kernelImageBytes,
-                       u64 seed = defaultSeed);
+                       u64 seed = defaultSeed)
+    {
+        return raw({false, name, kind, imageBytes, seed});
+    }
     /** Trace of one of the six applications, built at most once. */
     TraceHandle app(const std::string &name, SimdKind kind,
-                    u32 imageBytes = appImageBytes, u64 seed = defaultSeed);
+                    u32 imageBytes = appImageBytes, u64 seed = defaultSeed)
+    {
+        return raw({true, name, kind, imageBytes, seed});
+    }
     /** Generic keyed lookup (distributed workers). */
     TraceHandle raw(const TraceKey &key);
 
+    /** One keyed trace as a sweep unit replays it: blocks of at most
+     *  replayBlock records decoded from the store file's bytes or from
+     *  the trace in RAM.  Drain next() to an empty block, then check
+     *  ok().  A move keeps the file bytes' buffer, so the cursor into
+     *  it stays valid. */
+    class Replay
+    {
+      public:
+        Replay() = default;
+        Replay(Replay &&) = default;
+        Replay &operator=(Replay &&) = default;
+
+        /** The next block (valid until the next call); empty at the
+         *  end, and from a malformed store record on. */
+        std::span<const DecodedInst> next();
+
+        /** False when the store file failed validation part-way: the
+         *  blocks handed out are not the trace, the file counted as a
+         *  store miss, and the next replay() of the key regenerates. */
+        bool ok() const { return ok_; }
+
+        /** Dynamic trace length in records. */
+        u64 records() const
+        {
+            return records_ ? records_->size() : trace_->size();
+        }
+
+      private:
+        friend class TraceRepository;
+        TraceRepository *repo_ = nullptr;
+        std::shared_ptr<Entry> entry_;
+        u64 saves_ = 0;                     ///< entry's saves when opened
+        std::vector<u8> bytes_;             ///< warm: the store file
+        std::optional<TraceCursor> records_; ///< warm: its records
+        SharedTrace trace_;                 ///< otherwise: the trace
+        size_t pos_ = 0;
+        std::vector<DecodedInst> block_ =
+            std::vector<DecodedInst>(replayBlock);
+        bool ended_ = false;
+        bool ok_ = true;
+    };
+
+    /** The unit-facing lookup: replay @p key from the store if it holds
+     *  a valid file, else from tier 1, else from a fresh generation. */
+    Replay replay(const TraceKey &key);
+
     // ---- tier-2 lookups (decoded streams) ----------------------------
-    /** Decoded stream for @p key; fills from resident raw, else disk,
-     *  else generation (see the file comment). */
-    DecodedHandle decoded(const TraceKey &key);
     /** Decoded stream for an explicitly supplied trace, keyed by object
      *  identity (amortizes decode across groups replaying @p trace). */
     DecodedHandle decoded(const SharedTrace &trace);
@@ -208,12 +234,12 @@ class TraceRepository
 
     TierStats rawStats() const;
     TierStats decodedStats() const;
-    /** Traces actually generated (tier-1 fills from scratch). */
+    /** Traces actually generated. */
     u64 generations() const { return generations_.load(); }
-    /** Traces read from the on-disk store: tier-1 fills plus tier-2
-     *  fills streamed straight from disk. */
+    /** Traces read whole and valid from the on-disk store: tier-1 fills
+     *  plus replays streamed from disk. */
     u64 diskLoads() const { return diskLoads_.load(); }
-    /** Tier-2 fills (full-trace decodes, streamed ones included). */
+    /** Tier-2 fills (full-trace decodes of explicit traces). */
     u64 decodes() const { return decodes_.load(); }
     /** Number of distinct traces currently known across all tiers. */
     size_t size() const;
@@ -225,27 +251,20 @@ class TraceRepository
      *  process-wide telemetry registry. */
     void publishMetrics() const;
 
-    /**
-     * Drop every cached trace and decoded stream and reset the stats.
-     * Only safe when no handles into this repository are still live;
-     * intended for tests and benches using a private repository.
-     */
-    void clear();
-
   private:
     std::shared_ptr<Entry> entryFor(const TraceKey &key);
     std::shared_ptr<Entry> entryFor(const SharedTrace &trace);
     // Fill helpers; all run with @p e's build mutex held.
     /** Fill tier 1 of @p e (store, else generate). */
     SharedTrace materializeRaw(Entry &e);
-    /** Generate @p e's trace into tier 1 and save it to the store. */
-    SharedTrace generateRaw(Entry &e);
-    /** Fill tier 2 of @p e straight from the store. @return false on a
-     *  store miss. */
-    bool streamFromDisk(Entry &e);
+    /** Generate @p e's trace and save it to the store. */
+    SharedTrace generate(Entry &e);
+    /** Open @p r's store file to stream; false on a miss. */
+    bool openStored(Replay &r);
+    /** A token holding one pin on @p e's @p count until destroyed. */
+    static std::shared_ptr<void> pin(std::shared_ptr<Entry> e,
+                                     std::atomic<u32> Entry::*count);
     SharedTrace installRaw(Entry &e, SharedTrace t);
-    void releaseRaw(Entry &e);
-    void installDecoded(Entry &e, SharedDecoded d);
     /** Stamp @p e's tier-1 (or tier-2) LRU clock and evict whatever the
      *  budgets no longer cover, never touching @p keep. */
     void touchRawAndEnforce(Entry *keep);

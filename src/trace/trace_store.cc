@@ -50,10 +50,11 @@ TraceStore::TraceStore(std::string dir) : dir_(std::move(dir))
 std::string
 TraceStore::path(const TraceKey &key) const
 {
-    // Human-readable prefix plus a hash of the full key: collision-free
-    // even if a future workload name contains separator characters.
+    // Human-readable prefix plus a hash of the full key and generator
+    // version: collision-free even if a workload name holds separators.
     wire::Writer kw;
     serialize(kw, key);
+    kw.fixed32(traceGenVersion);
     u64 h = wire::fnv1a(kw.buffer().data(), kw.size());
 
     std::ostringstream name;
@@ -64,73 +65,69 @@ TraceStore::path(const TraceKey &key) const
     return (fs::path(dir_) / name.str()).string();
 }
 
-template <typename Out>
-bool
-TraceStore::loadInto(const TraceKey &key, Out &out)
+void
+TraceStore::reject(const std::string &file, const char *why)
+{
+    warn("trace store: '%s' %s; regenerating", file.c_str(), why);
+    ++misses_;
+}
+
+std::optional<wire::Reader>
+TraceStore::open(const TraceKey &key, std::vector<u8> &bytes)
 {
     const std::string file = path(key);
     std::ifstream in(file, std::ios::binary | std::ios::ate);
     if (!in) {
         ++misses_;
-        return false;
+        return std::nullopt;
     }
     // One sized read of the whole file.
     const std::streamoff size = in.tellg();
-    std::vector<u8> bytes(size > 0 ? size_t(size) : 0);
+    bytes.assign(size > 0 ? size_t(size) : 0, 0);
     if (size < 0 || !in.seekg(0) ||
         !in.read(reinterpret_cast<char *>(bytes.data()), size)) {
-        warn("trace store: cannot read '%s'; regenerating", file.c_str());
-        ++misses_;
-        return false;
+        reject(file, "cannot be read");
+        return std::nullopt;
     }
-    in.close();
-
     // Checksum covers everything before the trailing fixed64.
     if (bytes.size() < 8 + 8) {
-        warn("trace store: '%s' is truncated; regenerating", file.c_str());
-        ++misses_;
-        return false;
+        reject(file, "is truncated");
+        return std::nullopt;
     }
     wire::Reader tail(bytes.data() + bytes.size() - 8, 8);
-    u64 want = tail.fixed64();
-    u64 got = wire::fnv1a(bytes.data(), bytes.size() - 8);
-    if (want != got) {
-        warn("trace store: checksum mismatch in '%s'; regenerating",
-             file.c_str());
-        ++misses_;
-        return false;
+    if (tail.fixed64() != wire::fnv1a(bytes.data(), bytes.size() - 8)) {
+        reject(file, "fails its checksum");
+        return std::nullopt;
     }
-
     wire::Reader r(bytes.data(), bytes.size() - 8);
     TraceKey stored;
     if (r.fixed32() != storeMagic || r.fixed32() != storeVersion ||
-        !deserialize(r, stored) || !(stored == key) ||
-        !decodeTrace(r, out) || !r.atEnd()) {
-        warn("trace store: '%s' is not a valid trace for %s; regenerating",
-             file.c_str(), key.describe().c_str());
-        ++misses_;
-        return false;
+        !deserialize(r, stored) || !(stored == key)) {
+        reject(file, "is not a trace for its key");
+        return std::nullopt;
     }
-    ++loads_;
-    return true;
+    return r;
+}
+
+bool
+TraceStore::finish(const TraceKey &key, bool ok)
+{
+    if (ok)
+        ++loads_;
+    else
+        reject(path(key), "holds a malformed record");
+    return ok;
 }
 
 SharedTrace
 TraceStore::load(const TraceKey &key)
 {
+    std::vector<u8> bytes;
+    std::optional<wire::Reader> r = open(key, bytes);
     auto trace = std::make_shared<std::vector<InstRecord>>();
-    if (!loadInto(key, *trace))
+    if (!r || !finish(key, decodeTrace(*r, *trace) && r->atEnd()))
         return nullptr;
     return trace;
-}
-
-SharedDecoded
-TraceStore::loadDecoded(const TraceKey &key)
-{
-    auto stream = std::make_shared<DecodedStream>();
-    if (!loadInto(key, *stream))
-        return nullptr;
-    return stream;
 }
 
 bool

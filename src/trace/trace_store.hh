@@ -12,19 +12,22 @@
  * Writes are atomic (temp file + rename) so concurrent writers of the
  * same key -- two workers racing to generate the same trace -- are
  * harmless: both produce identical bytes and the second rename wins.
- * Any validation failure on load (bad magic/version, key mismatch,
- * checksum mismatch, truncation, a malformed record) reads as a miss,
- * never an error.  load() and loadDecoded() share one read-and-validate
- * path and differ only in what the payload decodes into.
+ * Any validation failure (bad magic/version, key mismatch, checksum
+ * mismatch, truncation, a malformed record) reads as a miss, never an
+ * error.  open() checks a file as a whole and leaves its records
+ * encoded for a reader to decode block by block (TraceRepository::
+ * Replay) and report to finish(); load() wraps the same two steps.
+ * File names hash traceGenVersion too, so a build whose generators
+ * differ reads none of another build's files.
  */
 
 #ifndef VMMX_TRACE_TRACE_STORE_HH
 #define VMMX_TRACE_TRACE_STORE_HH
 
 #include <atomic>
+#include <optional>
 #include <string>
 
-#include "trace/decoded.hh"
 #include "trace/trace_io.hh"
 
 namespace vmmx
@@ -33,6 +36,11 @@ namespace vmmx
 class TraceStore
 {
   public:
+    /** Identity of the trace generators (emulator, kernels, apps) of
+     *  this build.  Bump it in any change that alters a generated trace
+     *  (test_trace pins a few digests), so older stores stop matching. */
+    static constexpr u32 traceGenVersion = 1;
+
     /** $VMMX_TRACE_STORE if set, else "vmmx-trace-store" under the
      *  system temporary directory. */
     static std::string defaultDir();
@@ -47,13 +55,19 @@ class TraceStore
     /** Store file for @p key, e.g. "<dir>/kernel-idct-vmmx128-....vmtr". */
     std::string path(const TraceKey &key) const;
 
+    /** Read @p key's file into @p bytes and check its checksum, magic/
+     *  version and key.  @return a reader over its encoded records, or
+     *  nullopt on a miss (counted; warned for a damaged file). */
+    std::optional<wire::Reader> open(const TraceKey &key,
+                                     std::vector<u8> &bytes);
+
+    /** Count how reading an opened file's records ended: a load, or a
+     *  warned miss (a malformed record or trailing bytes).  @return
+     *  @p ok. */
+    bool finish(const TraceKey &key, bool ok);
+
     /** @return the stored trace, or null on miss/corruption. */
     SharedTrace load(const TraceKey &key);
-
-    /** @return the stored trace decoded record by record into a
-     *  DecodedStream (no InstRecord vector is built), or null on
-     *  miss/corruption. */
-    SharedDecoded loadDecoded(const TraceKey &key);
 
     /** Persist @p trace atomically. @return false on I/O failure. */
     bool save(const TraceKey &key, const std::vector<InstRecord> &trace);
@@ -66,11 +80,8 @@ class TraceStore
     u64 misses() const { return misses_.load(); }
 
   private:
-    /** Read @p key's file, check its checksum, magic/version and key,
-     *  and decode the payload into @p out.  Every failure counts and
-     *  warns as a miss. */
-    template <typename Out>
-    bool loadInto(const TraceKey &key, Out &out);
+    /** Count a damaged @p file as a miss and say why. */
+    void reject(const std::string &file, const char *why);
 
     std::string dir_;
     std::atomic<u64> loads_{0};

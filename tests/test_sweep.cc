@@ -7,13 +7,16 @@
  * running N machine configurations through one trace pass
  * (runTraceBatch, or a policy with batch on) must be bit-identical to N
  * independent runTrace() calls, for any batch size and any knob
- * overrides -- and replaying the repository's pre-decoded tier-2 stream
- * must be bit-identical to decoding on the fly.
+ * overrides -- and replaying a kernel/app trace streamed from its
+ * source (no store, cold store, warm store), or an explicit trace's
+ * pre-decoded stream, must be bit-identical to decoding on the fly.
  */
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <random>
+#include <unistd.h>
 
 #include "common/logging.hh"
 #include "harness/study.hh"
@@ -21,6 +24,8 @@
 #include "trace/trace_repo.hh"
 
 #include "random_machine.hh"
+
+namespace fs = std::filesystem;
 
 namespace vmmx
 {
@@ -120,12 +125,10 @@ TEST_F(SweepTest, CachedTraceMatchesDirectGeneration)
 
 TEST_F(SweepTest, DecodedStreamMatchesOnTheFlyDecode)
 {
-    // The tier-2 contract: replaying the repository's decoded stream is
-    // bit-identical to handing runTrace the raw records.
+    // The decoded-tier contract: replaying an explicit trace's decoded
+    // stream is bit-identical to handing runTrace the raw records.
     auto trace = repo.kernel("h2v2", SimdKind::VMMX128);
-    auto stream = repo.decoded(
-        {false, "h2v2", SimdKind::VMMX128, TraceRepository::kernelImageBytes,
-         TraceRepository::defaultSeed});
+    auto stream = repo.decoded(trace.shared());
     ASSERT_EQ(stream.records(), trace->size());
 
     for (unsigned way : {2u, 8u}) {
@@ -163,19 +166,32 @@ TEST_F(SweepTest, ParallelSweepBitIdenticalToSerial)
         EXPECT_TRUE(a[i].sameRun(c[i])) << "point " << i;
 }
 
+/** The points of @p grid turned into explicit-trace points, one shared
+ *  trace object per (kernel, flavour) from @p repo. */
+std::vector<SweepPoint>
+explicitTraces(std::vector<SweepPoint> grid, TraceRepository &repo)
+{
+    for (SweepPoint &p : grid) {
+        p.trace = repo.kernel(p.name, p.kind).shared();
+        p.workload = SweepPoint::Workload::Trace;
+    }
+    return grid;
+}
+
 TEST_F(SweepTest, SweepSharesDecodedStreamsAcrossPoints)
 {
     TraceRepository unbounded(nullptr, 0, 0);
     ExecutionPolicy policy = poolPolicy(unbounded, 4);
     policy.batch = false; // per-point jobs: each point looks its trace up
     policy.decoded = true;
-    // 3 widths x 2 flavours of one kernel: 6 points, 2 distinct traces.
-    auto points =
-        kernelGrid({"rgb"}, {SimdKind::MMX64, SimdKind::VMMX128}, {2, 4, 8});
+    // 3 widths x 2 flavours of one kernel: 6 points, 2 trace objects.
+    auto points = explicitTraces(
+        kernelGrid({"rgb"}, {SimdKind::MMX64, SimdKind::VMMX128}, {2, 4, 8}),
+        unbounded);
     auto results = runPoints(points, policy);
     EXPECT_EQ(results.size(), 6u);
-    // Each trace was generated and decoded exactly once; the other four
-    // per-point lookups were decoded-tier hits.
+    // Each trace was decoded exactly once; the other four per-point
+    // lookups were decoded-tier hits.
     EXPECT_EQ(unbounded.generations(), 2u);
     EXPECT_EQ(unbounded.decodes(), 2u);
     EXPECT_EQ(unbounded.decodedStats().hits, 4u);
@@ -186,7 +202,7 @@ TEST_F(SweepTest, SweepSharesDecodedStreamsAcrossPoints)
 
     // Batched: the whole group resolves its stream once, so the second
     // sweep adds one decoded hit per distinct trace -- and identical
-    // results, with still no regeneration or re-decode.
+    // results, with still no re-decode.
     ExecutionPolicy batched = policy;
     batched.batch = true;
     auto batchedResults = runPoints(points, batched);
@@ -204,14 +220,104 @@ TEST_F(SweepTest, DecodedTierOffMatchesDecodedTierOn)
     ExecutionPolicy off = on;
     off.decoded = false;
 
-    auto points = kernelGrid({"ltpfilt", "comp"},
-                             {SimdKind::VMMX64, SimdKind::MMX128}, {2, 8});
+    auto points = explicitTraces(
+        kernelGrid({"ltpfilt", "comp"}, {SimdKind::VMMX64, SimdKind::MMX128},
+                   {2, 8}),
+        repo);
     auto a = runPoints(points, on);
     auto b = runPoints(points, off);
     ASSERT_EQ(a.size(), b.size());
     for (size_t i = 0; i < a.size(); ++i)
         EXPECT_TRUE(a[i].sameRun(b[i]))
             << "point " << i << " (" << a[i].point.label() << ")";
+}
+
+/** A fresh trace store directory for one test, removed afterwards. */
+class StoreDir
+{
+  public:
+    StoreDir()
+        : dir_(fs::temp_directory_path() /
+               ("vmmx-sweep-test-" + std::to_string(::getpid()) + "-" +
+                testing::UnitTest::GetInstance()
+                    ->current_test_info()
+                    ->name()))
+    {
+        fs::remove_all(dir_);
+    }
+    ~StoreDir() { fs::remove_all(dir_); }
+    std::string path(const std::string &leaf) const
+    {
+        return (dir_ / leaf).string();
+    }
+
+  private:
+    fs::path dir_;
+};
+
+// The streamed unit's identity contract: a randomized grid of kernel
+// and app points, swept with batching on and off over no store, an
+// empty (cold) store and the store that cold run filled (warm), is
+// bit-identical to the runSerial oracle every time.  Each run gets a
+// fresh repository, so every unit really streams from its source.
+TEST_F(SweepTest, RandomizedGridStreamedUnitsMatchSerial)
+{
+    std::mt19937 rng(0x57ea);
+    const std::vector<std::pair<bool, std::string>> workloads = {
+        {false, "motion1"}, {false, "idct"}, {false, "ltpfilt"},
+        {false, "rgb"}, {true, "gsmdec"}};
+    const SimdKind kinds[] = {SimdKind::MMX64, SimdKind::MMX128,
+                              SimdKind::VMMX64, SimdKind::VMMX128};
+    std::vector<SweepPoint> points;
+    for (int i = 0; i < 24; ++i) {
+        Config knobs;
+        if (rng() % 2)
+            knobs.set("core.rob", s64(16 << (rng() % 4)));
+        if (rng() % 2)
+            knobs.set("core.iq", s64(8 << (rng() % 3)));
+        if (rng() % 2)
+            knobs.set("mem.l2.latency", s64(6 + 6 * (rng() % 3)));
+        unsigned way = 2u << (rng() % 3);
+        SimdKind kind = kinds[rng() % 4];
+        const auto &[isApp, name] = workloads[rng() % workloads.size()];
+        points.push_back({isApp ? SweepPoint::Workload::App
+                                : SweepPoint::Workload::Kernel,
+                          name, kind, way, knobs});
+    }
+    const size_t traces = groupPointsByTrace(points).size();
+
+    TraceRepository oracleRepo(nullptr, 0, 0);
+    auto want = runSerial(points, poolPolicy(oracleRepo, 1));
+
+    StoreDir dir;
+    for (bool batch : {true, false}) {
+        TraceStore store(dir.path(batch ? "batched" : "per-point"));
+        for (const char *mode : {"no store", "cold", "warm"}) {
+            const bool stored = std::string(mode) != "no store";
+            TraceRepository fresh(stored ? &store : nullptr, 0, 0);
+            ExecutionPolicy policy = poolPolicy(fresh, 4);
+            policy.batch = batch;
+            auto got = runPoints(points, policy);
+            ASSERT_EQ(got.size(), want.size());
+            for (size_t i = 0; i < want.size(); ++i)
+                EXPECT_TRUE(got[i].sameRun(want[i]))
+                    << mode << (batch ? ", batched" : ", per point")
+                    << ": point " << i << " (" << want[i].point.label()
+                    << ")";
+            if (std::string(mode) == "cold") {
+                EXPECT_EQ(fresh.generations(), traces) << "batch " << batch;
+                EXPECT_EQ(fresh.rawStats().bytes, 0u);
+            }
+            if (std::string(mode) == "warm") {
+                // Nothing of a warm run stays in RAM: every unit
+                // streamed its store file and kept nothing.
+                EXPECT_EQ(fresh.generations(), 0u);
+                EXPECT_EQ(fresh.diskLoads(), batch ? traces : points.size());
+                EXPECT_EQ(fresh.rawStats().bytes, 0u);
+                EXPECT_EQ(fresh.decodedStats().bytes, 0u);
+            }
+        }
+    }
 }
 
 TEST_F(SweepTest, LabelIncludesAblationOverrides)

@@ -151,10 +151,12 @@ TEST_F(TelemetryTest, DumpJsonNestsByDottedPrefixWithUnits)
     EXPECT_NE(json.find("\"repo\""), std::string::npos);
     EXPECT_NE(json.find("\"toplevel\": 3"), std::string::npos);
     EXPECT_NE(json.find("\"units\""), std::string::npos);
-    // Host stamp: the sanitizer the binary was built with always rides
-    // along ("none" in a plain build).
+    // Host stamp: the sanitizer the binary was built with ("none" in a
+    // plain build) and the process's peak RSS always ride along.
     EXPECT_NE(json.find("\"host\""), std::string::npos);
     EXPECT_NE(json.find("\"sanitizer\": \""), std::string::npos);
+    EXPECT_NE(json.find("\"peak_rss_bytes\": "), std::string::npos);
+    EXPECT_GT(telemetry::peakRssBytes(), 0u);
     EXPECT_NE(json.find("\"label\":\"idct/vmmx128/4-way\""),
               std::string::npos);
     EXPECT_NE(json.find("\"traceHash\":42"), std::string::npos);

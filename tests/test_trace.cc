@@ -14,6 +14,7 @@
 #include "common/saturate.hh"
 #include "trace/mmx.hh"
 #include "trace/program.hh"
+#include "trace/trace_repo.hh"
 #include "trace/vmmx.hh"
 
 namespace vmmx
@@ -272,6 +273,44 @@ TEST(Determinism, SameSeedSameTraceSameCycles)
     ASSERT_EQ(t1.size(), t2.size());
     auto m = makeMachine(SimdKind::VMMX128, 4);
     EXPECT_EQ(runTrace(m, t1).cycles(), runTrace(m, t2).cycles());
+}
+
+// The trace generators' output at the default seed, pinned: store file
+// names carry TraceStore::traceGenVersion instead of anything that
+// identifies the build, so a change that alters a generated trace must
+// bump it, or stores written before the change would replay stale
+// traces as valid.
+TEST(TraceGenVersion, DefaultSeedTracesArePinned)
+{
+    struct Pin
+    {
+        bool isApp;
+        const char *name;
+        SimdKind kind;
+        size_t records;
+        u64 digest; ///< FNV-1a of the encodeTrace() bytes
+    };
+    const Pin pins[] = {
+        {false, "motion1", SimdKind::MMX64, 4890, 0x9c09b3c400d95addull},
+        {false, "idct", SimdKind::VMMX128, 764, 0x80050e0fdbac031dull},
+        {false, "rgb", SimdKind::MMX128, 32672, 0x6b36772758f62607ull},
+        {true, "gsmdec", SimdKind::VMMX64, 34835, 0x54f79bb15314c732ull},
+        {true, "mpeg2dec", SimdKind::VMMX128, 23409, 0x37947f4c2c7d19c1ull},
+    };
+    TraceRepository repo(nullptr, 0, 0);
+    for (const Pin &pin : pins) {
+        auto trace = pin.isApp ? repo.app(pin.name, pin.kind)
+                               : repo.kernel(pin.name, pin.kind);
+        wire::Writer w;
+        encodeTrace(*trace, w);
+        u64 digest = wire::fnv1a(w.buffer().data(), w.size());
+        EXPECT_TRUE(trace->size() == pin.records && digest == pin.digest)
+            << pin.name << "/" << name(pin.kind) << ": " << trace->size()
+            << " records, digest 0x" << std::hex << digest
+            << ".  The generated trace changed: bump "
+               "TraceStore::traceGenVersion (src/trace/trace_store.hh) so "
+               "existing trace stores miss, then update this pin.";
+    }
 }
 
 } // namespace

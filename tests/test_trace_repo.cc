@@ -1,20 +1,22 @@
 /**
  * @file
- * Tiered TraceRepository tests: the decoded tier amortizes the
- * per-record decode process-wide, pins protect borrowed traces and
- * decoded streams against eviction, evicted copies re-materialize from
- * the tier below (decoded from disk or raw, raw from disk), a store
- * fills the decoded tier without keeping a raw copy, hostile store
- * bytes read as a miss, and -- the headline
- * guarantee -- results are bit-identical no matter how tiny the
- * budgets, because budgets only ever change *when* memory is reclaimed,
- * never *what* a run computes.
+ * TraceRepository tests: a unit's replay streams a warm store file in
+ * decoded blocks without any RAM copy, drops a cold generation once it
+ * is on disk, and keeps it in tier 1 without a store; hostile store
+ * bytes -- even past whole blocks already stepped -- read as a miss and
+ * regenerate; the decoded tier amortizes an explicit trace's decode;
+ * pins protect borrowed traces and decoded streams against eviction,
+ * evicted copies re-materialize (raw from disk, decoded from the
+ * explicit trace), and -- the headline guarantee -- results are
+ * bit-identical no matter how tiny the budgets, because budgets only
+ * ever change *when* memory is reclaimed, never *what* a run computes.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <filesystem>
+#include <map>
 #include <random>
 #include <unistd.h>
 
@@ -75,38 +77,24 @@ class TraceRepoTest : public testing::Test
     fs::path dir_;
 };
 
-TEST_F(TraceRepoTest, DecodedStreamBuiltOncePerKey)
+/** Drain @p replay the way a sweep unit does, collecting every block.
+ *  @return the decoded records, in order. */
+std::vector<DecodedInst>
+drain(TraceRepository::Replay &replay)
 {
-    TraceRepository repo(nullptr, 0, 0);
-    auto s1 = repo.decoded(key(0));
-    EXPECT_EQ(repo.generations(), 1u);
-    EXPECT_EQ(repo.decodes(), 1u);
-    EXPECT_GT(s1.records(), 0u);
-
-    // Further decoded lookups -- the second group of a sweep, another
-    // thread, another batch -- share the same stream object.
-    auto s2 = repo.decoded(key(0));
-    EXPECT_EQ(repo.decodes(), 1u);
-    EXPECT_EQ(repo.decodedStats().hits, 1u);
-    EXPECT_EQ(s1.get(), s2.get());
-
-    // Without a store the raw copy the decode came from stays resident.
-    auto raw = repo.raw(key(0));
-    u64 rawBytes = raw->size() * sizeof(InstRecord);
-    EXPECT_EQ(repo.rawStats().hits, 1u);
-    EXPECT_EQ(repo.rawStats().bytes, rawBytes);
-    EXPECT_EQ(repo.generations(), 1u);
-
-    // The decoded bytes follow the documented ~1.3x raw ratio.
-    EXPECT_GT(repo.decodedStats().bytes, rawBytes);
-    EXPECT_LT(repo.decodedStats().bytes, 2 * rawBytes);
+    std::vector<DecodedInst> out;
+    for (auto b = replay.next(); !b.empty(); b = replay.next()) {
+        EXPECT_LE(b.size(), replayBlock);
+        out.insert(out.end(), b.begin(), b.end());
+    }
+    return out;
 }
 
 TEST_F(TraceRepoTest, DecodedMatchesPerRecordDecode)
 {
     TraceRepository repo(nullptr, 0, 0);
     auto raw = repo.raw(key(1));
-    auto stream = repo.decoded(key(1));
+    auto stream = repo.decoded(raw.shared());
     ASSERT_EQ(stream.records(), raw->size());
     for (size_t i = 0; i < raw->size(); ++i)
         ASSERT_TRUE(decodeInst((*raw)[i]) == stream.stream().insts[i])
@@ -130,73 +118,90 @@ TEST_F(TraceRepoTest, StoreStreamedDecodeMatchesRawDecode)
 
     for (const TraceKey &k : keys) {
         { auto generated = filler.raw(k); } // generates and saves
-        SharedDecoded streamed = store.loadDecoded(k);
+        TraceRepository streamer(&store, 0, 0);
+        TraceRepository::Replay streamed = streamer.replay(k);
         SharedTrace loaded = store.load(k);
-        ASSERT_TRUE(streamed && loaded) << k.describe();
+        ASSERT_TRUE(loaded) << k.describe();
         DecodedStream viaRaw = decodeStream(*loaded);
-        ASSERT_EQ(streamed->size(), viaRaw.size()) << k.describe();
-        for (size_t i = 0; i < viaRaw.size(); ++i)
-            ASSERT_TRUE(streamed->insts[i] == viaRaw.insts[i])
-                << k.describe() << " at " << i;
+        ASSERT_EQ(streamed.records(), viaRaw.size()) << k.describe();
+        EXPECT_TRUE(drain(streamed) == viaRaw.insts) << k.describe();
+        EXPECT_TRUE(streamed.ok()) << k.describe();
+        EXPECT_EQ(streamer.diskLoads(), 1u) << k.describe();
     }
+    EXPECT_EQ(store.loads(), 2 * keys.size());
 }
 
-TEST_F(TraceRepoTest, WarmStoreFillsDecodedTierWithoutRawCopy)
+TEST_F(TraceRepoTest, WarmStoreReplayStreamsWithoutRawCopy)
 {
     std::vector<size_t> records = fillStore({0});
     TraceStore store(storeDir());
     TraceRepository repo(&store, 0, 0);
-    auto s = repo.decoded(key(0));
-    EXPECT_EQ(s.records(), records[0]);
+    TraceRepository::Replay replay = repo.replay(key(0));
+    EXPECT_EQ(replay.records(), records[0]);
+    EXPECT_EQ(drain(replay).size(), records[0]);
+    EXPECT_TRUE(replay.ok());
     EXPECT_EQ(repo.generations(), 0u);
     EXPECT_EQ(repo.diskLoads(), 1u);
-    EXPECT_EQ(repo.decodes(), 1u);
+    EXPECT_EQ(repo.decodes(), 0u);
     EXPECT_EQ(repo.rawStats().bytes, 0u);
     EXPECT_EQ(repo.rawStats().fills, 0u);
+    EXPECT_EQ(repo.decodedStats().bytes, 0u);
 }
 
-TEST_F(TraceRepoTest, ColdStoreDropsRawCopyAfterDecodedFill)
+TEST_F(TraceRepoTest, ColdStoreReplayDropsGeneratedCopy)
 {
     TraceStore store(storeDir());
     TraceRepository repo(&store, 0, 0);
-    auto s = repo.decoded(key(0));
+    TraceRepository::Replay cold = repo.replay(key(0));
+    std::vector<DecodedInst> generated = drain(cold);
+    EXPECT_TRUE(cold.ok());
     EXPECT_EQ(repo.generations(), 1u);
     EXPECT_EQ(store.saves(), 1u);
-    EXPECT_EQ(repo.rawStats().bytes, 0u) << "raw copy outlived its decode";
+    EXPECT_EQ(repo.rawStats().bytes, 0u) << "generated copy joined tier 1";
 
-    // The dropped copy comes back from disk, not from regeneration.
-    auto raw = repo.raw(key(0));
-    EXPECT_EQ(raw->size(), s.records());
+    // The next replay streams the saved file: same records, no
+    // regeneration.
+    TraceRepository::Replay warm = repo.replay(key(0));
+    EXPECT_TRUE(drain(warm) == generated);
     EXPECT_EQ(repo.generations(), 1u);
     EXPECT_EQ(repo.diskLoads(), 1u);
+
+    // So does a raw lookup.
+    auto raw = repo.raw(key(0));
+    EXPECT_EQ(raw->size(), generated.size());
+    EXPECT_EQ(repo.generations(), 1u);
+    EXPECT_EQ(repo.diskLoads(), 2u);
 }
 
-TEST_F(TraceRepoTest, PinnedRawSurvivesDecodedFill)
+TEST_F(TraceRepoTest, ReplayWithoutStoreKeepsTheTraceInTier1)
+{
+    TraceRepository repo(nullptr, 0, 0);
+    TraceRepository::Replay first = repo.replay(key(0));
+    std::vector<DecodedInst> records = drain(first);
+    EXPECT_EQ(repo.generations(), 1u);
+    auto raw = repo.raw(key(0));
+    EXPECT_EQ(repo.rawStats().bytes, raw->size() * sizeof(InstRecord));
+    EXPECT_EQ(repo.rawStats().hits, 1u);
+
+    // Later replays decode the resident copy: a hit, not a generation.
+    TraceRepository::Replay second = repo.replay(key(0));
+    EXPECT_TRUE(drain(second) == records);
+    EXPECT_EQ(repo.generations(), 1u);
+    EXPECT_EQ(repo.rawStats().hits, 2u);
+    EXPECT_EQ(repo.decodedStats().bytes, 0u);
+}
+
+TEST_F(TraceRepoTest, PinnedRawSurvivesReplay)
 {
     TraceStore store(storeDir());
     TraceRepository repo(&store, 0, 0);
     auto raw = repo.raw(key(0));
     const std::vector<InstRecord> *object = raw.get();
-    auto s = repo.decoded(key(0)); // decodes the resident copy
-    EXPECT_EQ(repo.diskLoads(), 0u);
+    TraceRepository::Replay replay = repo.replay(key(0));
+    EXPECT_EQ(drain(replay).size(), raw->size());
     EXPECT_EQ(repo.rawStats().bytes, raw->size() * sizeof(InstRecord));
     EXPECT_EQ(repo.raw(key(0)).get(), object);
-    EXPECT_EQ(repo.rawStats().hits, 1u);
-}
-
-TEST_F(TraceRepoTest, TinyDecodedBudgetOverStoreRematerializesFromDisk)
-{
-    fillStore({0, 1});
-    TraceStore store(storeDir());
-    TraceRepository repo(&store, 0, 1);
-    { auto s = repo.decoded(key(0)); }
-    { auto s = repo.decoded(key(1)); } // evicts key(0)'s stream
-    { auto s = repo.decoded(key(0)); }
-    EXPECT_GE(repo.decodedStats().evictions, 1u);
-    EXPECT_EQ(repo.decodes(), 3u);
-    EXPECT_EQ(repo.diskLoads(), 3u);
-    EXPECT_EQ(repo.generations(), 0u);
-    EXPECT_EQ(repo.rawStats().bytes, 0u);
+    EXPECT_EQ(repo.generations(), 1u);
 }
 
 TEST_F(TraceRepoTest, HostileRegisterIndexInStoreReadsAsMiss)
@@ -210,68 +215,158 @@ TEST_F(TraceRepoTest, HostileRegisterIndexInStoreReadsAsMiss)
     TraceStore store(storeDir());
     ASSERT_TRUE(store.save(key(0), {hostile}));
     EXPECT_EQ(store.load(key(0)), nullptr);
-    EXPECT_EQ(store.loadDecoded(key(0)), nullptr);
-    EXPECT_EQ(store.misses(), 2u);
+    EXPECT_EQ(store.misses(), 1u);
+    EXPECT_EQ(store.loads(), 0u);
 
-    wire::Writer payload;
-    encodeTrace({hostile}, payload);
+    // open() checks the file as a whole; the record fails when read,
+    // as records or decoded.
+    std::vector<u8> bytes;
+    std::optional<wire::Reader> payload = store.open(key(0), bytes);
+    ASSERT_TRUE(payload);
     std::vector<InstRecord> raw;
-    wire::Reader rawReader(payload.buffer());
+    wire::Reader rawReader = *payload;
     EXPECT_FALSE(decodeTrace(rawReader, raw));
-    DecodedStream decoded;
-    wire::Reader decodedReader(payload.buffer());
-    EXPECT_FALSE(decodeTrace(decodedReader, decoded));
+    DecodedInst decoded;
+    TraceCursor cursor(*payload);
+    EXPECT_EQ(cursor.read(&decoded, 1), 0u);
+    EXPECT_FALSE(cursor.ok());
 
     // Both lookups regenerate the real trace instead of panicking.
-    TraceRepository viaDecoded(&store, 0, 0);
-    auto s = viaDecoded.decoded(key(0));
-    EXPECT_GT(s.records(), 1u);
-    EXPECT_EQ(viaDecoded.generations(), 1u);
-    EXPECT_EQ(viaDecoded.diskLoads(), 0u);
+    TraceRepository viaReplay(&store, 0, 0);
+    TraceRepository::Replay bad = viaReplay.replay(key(0));
+    EXPECT_TRUE(drain(bad).empty());
+    EXPECT_FALSE(bad.ok());
+    EXPECT_EQ(store.misses(), 2u);
+    TraceRepository::Replay good = viaReplay.replay(key(0));
+    size_t records = drain(good).size();
+    EXPECT_TRUE(good.ok());
+    EXPECT_GT(records, 1u);
+    EXPECT_EQ(viaReplay.generations(), 1u);
+    EXPECT_EQ(viaReplay.diskLoads(), 0u);
 
     ASSERT_TRUE(store.save(key(0), {hostile}));
     TraceRepository viaRaw(&store, 0, 0);
     auto t = viaRaw.raw(key(0));
-    EXPECT_EQ(t->size(), s.records());
+    EXPECT_EQ(t->size(), records);
     EXPECT_EQ(viaRaw.generations(), 1u);
+}
+
+// A store file whose checksum matches but whose record fails validation
+// after whole blocks were already handed out: the replay must end
+// failed (never a short trace that looks complete), the file must count
+// as a store miss, and the next replay must regenerate -- and a sweep
+// over it must drop the partial results and match the oracle.
+TEST_F(TraceRepoTest, StoreFileFailingAfterAFullBlockIsAMiss)
+{
+    const TraceKey k{true, "gsmdec", SimdKind::VMMX128,
+                     TraceRepository::appImageBytes,
+                     TraceRepository::defaultSeed};
+    TraceRepository gen(nullptr, 0, 0);
+    SharedTrace good = gen.raw(k).shared();
+    ASSERT_GT(good->size(), 2 * replayBlock + 1);
+    std::vector<InstRecord> bad = *good;
+    const size_t broken = replayBlock + replayBlock / 2;
+    bad[broken].op = Opcode::ADD;
+    bad[broken].dst = {RegClass::Int, 200};
+
+    TraceStore store(storeDir());
+    ASSERT_TRUE(store.save(k, bad));
+    {
+        TraceRepository repo(&store, 0, 0);
+        TraceRepository::Replay replay = repo.replay(k);
+        size_t blocks = 0, records = 0;
+        for (auto b = replay.next(); !b.empty(); b = replay.next()) {
+            ++blocks;
+            records += b.size();
+        }
+        EXPECT_EQ(blocks, broken / replayBlock);
+        EXPECT_LT(records, good->size());
+        EXPECT_FALSE(replay.ok());
+        EXPECT_EQ(store.misses(), 1u);
+        EXPECT_EQ(repo.diskLoads(), 0u);
+
+        TraceRepository::Replay again = repo.replay(k);
+        EXPECT_EQ(drain(again).size(), good->size());
+        EXPECT_TRUE(again.ok());
+        EXPECT_EQ(repo.generations(), 1u);
+        // The regeneration replaced the damaged file.
+        EXPECT_TRUE(store.load(k) != nullptr);
+    }
+
+    // Through the sweep engine: one batched unit of 3 widths plus a
+    // batch-off point, each stepping the damaged file first.
+    ASSERT_TRUE(store.save(k, bad));
+    std::vector<SweepPoint> points;
+    for (unsigned way : {2u, 4u, 8u})
+        points.push_back({SweepPoint::Workload::App, "gsmdec",
+                          SimdKind::VMMX128, way});
+    TraceRepository repo(&store, 0, 0);
+    ExecutionPolicy policy = ExecutionPolicy::fromEnv();
+    policy.repo = &repo;
+    policy.threads = 2;
+    TraceRepository oracleRepo(nullptr, 0, 0);
+    ExecutionPolicy oracle = policy;
+    oracle.repo = &oracleRepo;
+    auto want = runSerial(points, oracle);
+    auto got = runPoints(points, policy);
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < want.size(); ++i)
+        EXPECT_TRUE(got[i].sameRun(want[i])) << "point " << i;
+    EXPECT_EQ(repo.generations(), 1u);
+
+    ASSERT_TRUE(store.save(k, bad));
+    TraceRepository single(&store, 0, 0);
+    ExecutionPolicy perPoint = policy;
+    perPoint.repo = &single;
+    perPoint.batch = false;
+    auto gotPerPoint = runPoints(points, perPoint);
+    for (size_t i = 0; i < want.size(); ++i)
+        EXPECT_TRUE(gotPerPoint[i].sameRun(want[i])) << "point " << i;
+    EXPECT_EQ(single.generations(), 1u);
 }
 
 TEST_F(TraceRepoTest, TinyDecodedBudgetEvictsAndRematerializes)
 {
     // A 1-byte decoded budget: every unpinned stream is evicted as soon
     // as the next lookup enforces the budget.
+    TraceRepository gen(nullptr, 0, 0);
+    SharedTrace a = gen.raw(key(0)).shared();
+    SharedTrace b = gen.raw(key(1)).shared();
     TraceRepository repo(nullptr, 0, 1);
-    { auto s = repo.decoded(key(0)); }
+    { auto s = repo.decoded(a); }
     EXPECT_EQ(repo.decodes(), 1u);
 
-    // The next decoded lookup of another key evicts the first (it is
-    // unpinned); looking the first up again re-decodes from raw.
-    { auto s = repo.decoded(key(1)); }
+    // The next decoded lookup of another trace evicts the first (it is
+    // unpinned); looking the first up again re-decodes it.
+    { auto s = repo.decoded(b); }
     EXPECT_GE(repo.decodedStats().evictions, 1u);
-    { auto s = repo.decoded(key(0)); }
+    { auto s = repo.decoded(a); }
     EXPECT_EQ(repo.decodes(), 3u);
-    // ... but never regenerates the trace itself: tier 1 is intact.
-    EXPECT_EQ(repo.generations(), 2u);
+    EXPECT_EQ(repo.decodedStats().hits, 0u);
 }
 
 TEST_F(TraceRepoTest, PinnedDecodedStreamSurvivesTinyBudget)
 {
+    TraceRepository gen(nullptr, 0, 0);
+    SharedTrace traces[3];
+    for (int i = 0; i < 3; ++i)
+        traces[i] = gen.raw(key(i)).shared();
     TraceRepository repo(nullptr, 0, 1);
-    auto pinned = repo.decoded(key(0));
+    auto pinned = repo.decoded(traces[0]);
     const DecodedStream *object = pinned.get();
 
-    // Budget pressure from other keys cannot evict the pinned stream.
-    { auto other = repo.decoded(key(1)); }
-    { auto other = repo.decoded(key(2)); }
-    auto again = repo.decoded(key(0));
+    // Budget pressure from other traces cannot evict the pinned stream.
+    { auto other = repo.decoded(traces[1]); }
+    { auto other = repo.decoded(traces[2]); }
+    auto again = repo.decoded(traces[0]);
     EXPECT_EQ(again.get(), object) << "pinned stream was evicted";
     EXPECT_EQ(repo.decodedStats().hits, 1u);
 
     // Once the pins drop, the same pressure does evict it.
     again = TraceRepository::DecodedHandle();
     pinned = TraceRepository::DecodedHandle();
-    { auto other = repo.decoded(key(1)); }
-    auto rebuilt = repo.decoded(key(0));
+    { auto other = repo.decoded(traces[1]); }
+    auto rebuilt = repo.decoded(traces[0]);
     EXPECT_EQ(repo.decodedStats().hits, 1u) << "expected a re-decode";
 }
 
@@ -319,11 +414,18 @@ TEST_F(TraceRepoTest, AdoptedExplicitTraceSharesOneDecode)
     TraceRepository repo(nullptr, 0, 0);
     SharedTrace trace = repo.kernel("comp", SimdKind::VMMX128).shared();
 
+    // Every group replaying the trace -- another thread, another batch
+    // -- shares the same stream object.
     auto s1 = repo.decoded(trace);
     auto s2 = repo.decoded(trace);
     EXPECT_EQ(s1.get(), s2.get());
     EXPECT_EQ(repo.decodes(), 1u);
     EXPECT_EQ(repo.decodedStats().hits, 1u);
+
+    // The decoded bytes follow the documented ~1.2x raw ratio.
+    u64 rawBytes = trace->size() * sizeof(InstRecord);
+    EXPECT_GT(repo.decodedStats().bytes, rawBytes);
+    EXPECT_LT(repo.decodedStats().bytes, 2 * rawBytes);
 
     // A different trace object decodes separately even if equal bytes.
     SharedTrace copy =
@@ -333,7 +435,7 @@ TEST_F(TraceRepoTest, AdoptedExplicitTraceSharesOneDecode)
     EXPECT_EQ(repo.decodes(), 2u);
 }
 
-// The ISSUE acceptance test: a randomized ablation grid swept with a
+// A randomized ablation grid of explicit-trace points swept with a
 // 1-byte decoded budget (set through the environment, as CI does) is
 // bit-identical to the unbounded sweep -- constant eviction and
 // re-decode changes memory behaviour only, never results.
@@ -345,12 +447,19 @@ TEST_F(TraceRepoTest, RandomizedGridTinyDecodedBudgetBitIdentical)
     ASSERT_EQ(tiny.decodedBudget(), 1u);
     TraceRepository unbounded(nullptr, 0, 0);
 
-    std::mt19937 rng(0x5eed);
-    // One grid, built once so both runs see identical points (the
-    // builder draws from the RNG).
+    // Explicit traces, since only they live in the decoded tier.
+    TraceRepository gen(nullptr, 0, 0);
     const std::vector<std::string> kernels = {"motion1", "comp",
                                               "addblock"};
     const SimdKind kinds[] = {SimdKind::MMX64, SimdKind::VMMX128};
+    std::map<std::pair<std::string, SimdKind>, SharedTrace> traces;
+    for (const std::string &kernel : kernels)
+        for (SimdKind kind : kinds)
+            traces[{kernel, kind}] = gen.kernel(kernel, kind).shared();
+
+    std::mt19937 rng(0x5eed);
+    // One grid, built once so both runs see identical points (the
+    // builder draws from the RNG).
     std::vector<SweepPoint> points;
     for (int i = 0; i < 18; ++i) {
         Config knobs;
@@ -363,22 +472,28 @@ TEST_F(TraceRepoTest, RandomizedGridTinyDecodedBudgetBitIdentical)
         unsigned way = 2u << (rng() % 3);
         SimdKind kind = kinds[rng() % 2];
         const std::string &kernel = kernels[rng() % kernels.size()];
-        points.push_back(
-            {SweepPoint::Workload::Kernel, kernel, kind, way, knobs});
+        points.push_back({SweepPoint::Workload::Trace, kernel, kind, way,
+                          knobs, traces[{kernel, kind}]});
     }
 
     ExecutionPolicy tinyPolicy = ExecutionPolicy::fromEnv();
     tinyPolicy.repo = &tiny;
     tinyPolicy.threads = 4;
+    tinyPolicy.decoded = true;
     ExecutionPolicy bigPolicy = tinyPolicy;
     bigPolicy.repo = &unbounded;
+    ExecutionPolicy oraclePolicy = tinyPolicy;
+    oraclePolicy.repo = &gen;
 
     auto a = runPoints(points, tinyPolicy);
     auto b = runPoints(points, bigPolicy);
+    auto want = runSerial(points, oraclePolicy);
     ASSERT_EQ(a.size(), b.size());
-    for (size_t i = 0; i < a.size(); ++i)
+    for (size_t i = 0; i < a.size(); ++i) {
         EXPECT_TRUE(a[i].sameRun(b[i]))
             << "point " << i << " (" << a[i].point.label() << ")";
+        EXPECT_TRUE(a[i].sameRun(want[i])) << "point " << i;
+    }
 
     // The tiny-budget run really did exercise the eviction path.
     EXPECT_GT(tiny.decodedStats().evictions, 0u);

@@ -263,6 +263,29 @@ TEST_F(WireTest, InstRecordRandomizedRoundTrip)
         ASSERT_EQ(back[k], trace[k]) << "record " << k;
 }
 
+TEST_F(WireTest, TraceCursorBlocksMatchPerRecordDecode)
+{
+    Rng rng(0xb10c);
+    std::vector<InstRecord> trace;
+    for (int k = 0; k < 5000; ++k)
+        trace.push_back(randomRecord(rng));
+    wire::Writer w;
+    encodeTrace(trace, w);
+
+    for (size_t block : {size_t(1), size_t(7), replayBlock}) {
+        wire::Reader in(w.buffer());
+        TraceCursor records(in);
+        ASSERT_EQ(records.size(), trace.size());
+        std::vector<DecodedInst> ds(block);
+        size_t at = 0;
+        for (size_t n; (n = records.read(ds.data(), block)) > 0;)
+            for (size_t k = 0; k < n; ++k, ++at)
+                ASSERT_TRUE(ds[k] == decodeInst(trace[at])) << "record " << at;
+        EXPECT_EQ(at, trace.size()) << "block " << block;
+        EXPECT_TRUE(records.done() && records.reader().atEnd());
+    }
+}
+
 TEST_F(WireTest, CorruptTraceStreamsFailCleanly)
 {
     Rng rng(7);
@@ -284,8 +307,8 @@ TEST_F(WireTest, CorruptTraceStreamsFailCleanly)
     wire::Reader r(bad);
     EXPECT_FALSE(decodeTrace(r, back));
 
-    // So must a register index past its class's logical table, into
-    // either tier: decodeInst() would otherwise assert on it.
+    // So must a register index past its class's logical table, as
+    // records or decoded: decodeInst() would otherwise assert on it.
     for (unsigned c = 0; c < numRegClasses; ++c) {
         InstRecord i;
         i.dst = {static_cast<RegClass>(c), u8(logicalTableSize[c])};
@@ -293,9 +316,11 @@ TEST_F(WireTest, CorruptTraceStreamsFailCleanly)
         encodeTrace({i}, one);
         wire::Reader raw(one.buffer());
         EXPECT_FALSE(decodeTrace(raw, back)) << "class " << c;
-        DecodedStream decoded;
+        DecodedInst decoded;
         wire::Reader streamed(one.buffer());
-        EXPECT_FALSE(decodeTrace(streamed, decoded)) << "class " << c;
+        TraceCursor cursor(streamed);
+        EXPECT_EQ(cursor.read(&decoded, 1), 0u) << "class " << c;
+        EXPECT_FALSE(cursor.ok()) << "class " << c;
     }
 }
 

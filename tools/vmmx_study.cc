@@ -290,8 +290,8 @@ main(int argc, char **argv)
                   << " backend ("
                   << (spec.exec.batch ? "batched trace groups"
                                       : "per-point jobs")
-                  << ", decoded tier "
-                  << (spec.exec.decoded ? "on" : "off") << ")\n\n";
+                  << ", each trace streamed from its source in decoded "
+                     "blocks)\n\n";
     }
 
     auto start = std::chrono::steady_clock::now();
