@@ -1,6 +1,7 @@
 #include "sim/sim_context.hh"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/logging.hh"
 #include "sim/sim_batch.hh"
@@ -267,14 +268,12 @@ runBatch(const std::vector<InstRecord> &trace,
 void
 runBatch(const DecodedStream &stream, std::span<SimContext *const> ctxs)
 {
-    const std::vector<DecodedInst> &insts = stream.insts;
-    size_t pos = 0;
+    // Already decoded and resident: the whole stream is one block.
+    bool done = false;
     runBatch(
         [&] {
-            size_t n = std::min(replayBlock, insts.size() - pos);
-            std::span<const DecodedInst> b(insts.data() + pos, n);
-            pos += n;
-            return b;
+            std::span<const DecodedInst> b(stream.insts);
+            return std::exchange(done, true) ? b.first(0) : b;
         },
         ctxs);
 }

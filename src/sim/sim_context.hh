@@ -41,7 +41,7 @@
  * generated trace block by block (TraceRepository::Replay).  The
  * raw-trace and DecodedStream overloads are feeders of the same loop:
  * one decodes the InstRecords replayBlock at a time, the other hands
- * out slices of the stream.  The per-record step order is the same
+ * out the resident stream as one block.  The per-record step order is the same
  * whatever the source, so every feeder is bit-identical to running each
  * context over the full trace alone, the guarantee the sweep and dist
  * layers assert.
@@ -142,8 +142,8 @@ class SimContext
 
 /**
  * A pull source of decoded blocks: each call returns the next block of
- * the trace (at most replayBlock records, valid until the next call);
- * an empty block ends the replay.
+ * the trace (valid until the next call); an empty block ends the
+ * replay.
  */
 using BlockSource = std::function<std::span<const DecodedInst>()>;
 
@@ -161,7 +161,7 @@ void runBatch(const std::vector<InstRecord> &trace,
               std::span<SimContext *const> ctxs);
 
 /** runBatch() over an already-decoded stream (an explicit trace's
- *  decoded tier), block by block with no decode at all. */
+ *  decoded tier) as one block, with no decode at all. */
 void runBatch(const DecodedStream &stream,
               std::span<SimContext *const> ctxs);
 
