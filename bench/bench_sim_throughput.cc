@@ -6,11 +6,13 @@
  * more configurations, and which step kernel (fused serial, SoA scalar,
  * AVX2, AVX-512) is doing the stepping.
  *
- * Five sections; the last three are bit-identity-checked:
+ * Five sections; the last four are bit-identity-checked:
  *
  *   simulate  : single-configuration runTrace() across flavours and
  *               machine widths (the classic per-config number);
- *   tracegen  : trace generation itself, cache bypassed on purpose;
+ *   tracegen  : trace generation itself, cache bypassed on purpose,
+ *               into an InstRecord vector and into a store file image
+ *               through the encoder sink (payloads must be identical);
  *   replay    : one app trace on a 3-config group (a fig5 unit), streamed
  *               from store bytes by TraceRepository::replay (the shipped
  *               unit path: file read, checksum, varint and DecodedInst
@@ -144,9 +146,14 @@ main()
     }
 
     // ---- tracegen: generation cost, cache bypassed on purpose --------
-    // Each row times what a trace-repository miss does: a fresh image,
-    // prepare, and a recording emit.  The mpeg2dec row includes its
-    // prepare's encoder run, which executes without recording.
+    // Each row times what a trace-repository miss does
+    // (TraceRepository::runWorkload: a fresh image, prepare, and a
+    // recording emit), two ways: into an InstRecord vector (raw(), no
+    // store) and straight into a store file image through the encoder
+    // sink (a cold unit with a store).  "held B" is what each leaves
+    // allocated at the end; the two payloads must be byte-identical.
+    // The mpeg2dec rows include its prepare's encoder run, which
+    // executes without recording.
     {
         struct Case
         {
@@ -157,34 +164,52 @@ main()
         const Case cases[] = {{"motion1", false, SimdKind::MMX64},
                               {"motion1", false, SimdKind::VMMX128},
                               {"mpeg2dec", true, SimdKind::MMX64}};
-        TextTable table({"trace generation", "records", "wall s",
-                         "insts/s"});
+        TextTable table({"trace generation", "sink", "records", "wall s",
+                         "records/s", "held B"});
         for (const Case &c : cases) {
-            double t = 1e9;
-            size_t records = 0;
+            const TraceKey key{c.isApp, c.name, c.kind,
+                               c.isApp ? TraceRepository::appImageBytes
+                                       : TraceRepository::kernelImageBytes,
+                               TraceRepository::defaultSeed};
+            const std::string label =
+                std::string(c.name) + " " + name(c.kind);
+            double tv = 1e9, te = 1e9;
+            std::vector<InstRecord> trace;
+            std::vector<u8> image;
+            wire::Reader payload(nullptr, 0);
             for (int r = 0; r < reps; ++r) {
                 auto t0 = clock_t_::now();
-                MemImage mem(c.isApp ? TraceRepository::appImageBytes
-                                     : TraceRepository::kernelImageBytes);
-                Rng rng(0xbeef);
-                Program p(mem, c.kind);
-                if (c.isApp) {
-                    auto a = makeApp(c.name);
-                    a->prepare(mem, rng);
-                    a->emit(p);
-                } else {
-                    auto k = makeKernel(c.name);
-                    k->prepare(mem, rng);
-                    k->emit(p);
-                }
-                auto trace = p.takeTrace();
-                t = std::min(t, seconds(t0, clock_t_::now()));
-                records = trace.size();
+                trace = TraceRepository::runWorkload(key);
+                tv = std::min(tv, seconds(t0, clock_t_::now()));
+
+                t0 = clock_t_::now();
+                TraceStore::Image img(key);
+                TraceRepository::runWorkload(key, &img.encoder());
+                img.finish();
+                te = std::min(te, seconds(t0, clock_t_::now()));
+                payload = img.payload();
+                image = img.take();
             }
-            double ips = double(records) / t;
-            table.addRow({std::string(c.name) + " " + name(c.kind),
-                          std::to_string(records), TextTable::num(t, 6),
-                          TextTable::num(ips, 0)});
+            wire::Writer w;
+            encodeTrace(trace, w);
+            if (payload.remaining() != w.size() ||
+                !std::equal(w.buffer().begin(), w.buffer().end(),
+                            payload.cursor())) {
+                std::cerr << "tracegen " << label
+                          << ": the encoder sink's payload differs from "
+                             "encodeTrace of the vector\n";
+                identical = false;
+            }
+            const double records = double(trace.size());
+            table.addRow({label, "vector", std::to_string(trace.size()),
+                          TextTable::num(tv, 6),
+                          TextTable::num(records / tv, 0),
+                          std::to_string(trace.capacity() *
+                                         sizeof(InstRecord))});
+            table.addRow({label, "encoder", std::to_string(trace.size()),
+                          TextTable::num(te, 6),
+                          TextTable::num(records / te, 0),
+                          std::to_string(image.capacity())});
         }
         table.print(std::cout);
         std::cout << '\n';

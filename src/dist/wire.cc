@@ -4,6 +4,8 @@
 #include <cstring>
 #include <unistd.h>
 
+#include "common/logging.hh"
+
 namespace vmmx::wire
 {
 
@@ -64,6 +66,14 @@ Writer::bytes(const void *data, size_t n)
 {
     const u8 *p = static_cast<const u8 *>(data);
     buf_.insert(buf_.end(), p, p + n);
+}
+
+void
+Writer::patch(size_t at, const void *data, size_t n)
+{
+    vmmx_assert(at <= buf_.size() && n <= buf_.size() - at,
+                "wire patch past the bytes written");
+    std::memcpy(buf_.data() + at, data, n);
 }
 
 bool

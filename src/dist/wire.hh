@@ -29,6 +29,16 @@ namespace vmmx::wire
 /** FNV-1a 64-bit hash (trace-file and journal checksums). */
 u64 fnv1a(const void *data, size_t n, u64 seed = 0xcbf29ce484222325ull);
 
+/** Bytes Writer::varint() spends on @p v (1..10). */
+constexpr size_t
+varintSize(u64 v)
+{
+    size_t n = 1;
+    for (; v >= 0x80; v >>= 7)
+        ++n;
+    return n;
+}
+
 class Writer
 {
   public:
@@ -43,6 +53,8 @@ class Writer
     /** Length-prefixed byte string (may contain NULs). */
     void str(const std::string &s);
     void bytes(const void *data, size_t n);
+    /** Overwrite @p n bytes already written, from offset @p at. */
+    void patch(size_t at, const void *data, size_t n);
 
     size_t size() const { return buf_.size(); }
     const std::vector<u8> &buffer() const { return buf_; }

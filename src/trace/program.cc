@@ -1,6 +1,7 @@
 #include "trace/program.hh"
 
 #include "common/saturate.hh"
+#include "trace/trace_io.hh"
 
 namespace vmmx
 {
@@ -10,6 +11,13 @@ Program::Program(MemImage &mem, SimdKind kind)
 {
     record_ = true;
     trace_.reserve(1u << 16);
+}
+
+Program::Program(MemImage &mem, SimdKind kind, TraceEncoder &sink)
+    : Program(mem, kind, executeOnly)
+{
+    record_ = true;
+    sink_ = &sink;
 }
 
 Program::Program(MemImage &mem, SimdKind kind, ExecuteOnly)
@@ -64,7 +72,10 @@ Program::emit(InstRecord rec)
     if (!record_)
         return;
     rec.region = region_;
-    trace_.push_back(rec);
+    if (sink_)
+        sink_->add(rec);
+    else
+        trace_.push_back(rec);
 }
 
 u32

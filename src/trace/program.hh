@@ -13,6 +13,12 @@
  * trace() stays empty.  Decoders use it to produce their input
  * bitstream by running the encoder, whose trace nobody replays.
  *
+ * A Program built over a TraceEncoder records into the encoder instead:
+ * each record is delta-encoded as it is emitted, trace() stays empty,
+ * and no InstRecord array is ever built.  The trace repository generates
+ * a cold trace this way straight into the store's file image
+ * (TraceStore::Image).
+ *
  * Control flow runs natively in C++; branch-emitting helpers record the
  * resolved direction together with a static site id (derived from the
  * call site via std::source_location) so the branch predictor sees a
@@ -38,6 +44,8 @@
 
 namespace vmmx
 {
+
+class TraceEncoder;
 
 /** Handle to an allocated scalar (integer) register. */
 struct SReg
@@ -73,6 +81,9 @@ class Program
     Program(MemImage &mem, SimdKind kind);
     /** An execute-only Program: functional state only, empty trace(). */
     Program(MemImage &mem, SimdKind kind, ExecuteOnly);
+    /** A Program recording into @p sink (which must outlive it): every
+     *  operation adds a record there; trace() stays empty. */
+    Program(MemImage &mem, SimdKind kind, TraceEncoder &sink);
 
     SimdKind kind() const { return kind_; }
     /** Bytes per packed word / matrix row (8 or 16). */
@@ -215,6 +226,7 @@ class Program
     unsigned width_;
 
     bool record_;
+    TraceEncoder *sink_ = nullptr; ///< records go here when set
     std::vector<InstRecord> trace_;
     u16 region_ = 0;
     u16 vl_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <sstream>
 
+#include "common/logging.hh"
 #include "trace/decoded.hh"
 
 namespace vmmx
@@ -11,7 +12,7 @@ namespace vmmx
 // ---- codec lockstep guards ----------------------------------------------
 // Mirror structs restating every field the trace codecs serialize: a
 // field added to InstRecord or TraceKey without extending
-// encodeTrace()/decodeTrace() or serialize()/deserialize() (and the
+// TraceEncoder::add()/decodeTrace() or serialize()/deserialize() (and the
 // mirror) fails to compile here instead of silently dropping data from
 // every stored trace.  tools/vmmx_lint enforces that each codec in this
 // file keeps a guard.
@@ -41,8 +42,8 @@ struct InstRecordMirror
     u16 region;
 };
 static_assert(sizeof(InstRecord) == sizeof(InstRecordMirror),
-              "InstRecord changed: update encodeTrace()/decodeTrace(), the "
-              "flags byte, and this mirror in lockstep");
+              "InstRecord changed: update TraceEncoder::add()/decodeTrace(), "
+              "the flags byte, and this mirror in lockstep");
 
 struct TraceKeyMirror
 {
@@ -98,52 +99,79 @@ TraceKey::describe() const
     return os.str();
 }
 
+TraceEncoder::TraceEncoder(wire::Writer &w, size_t countRoom)
+    : w_(w), room_(countRoom)
+{
+    vmmx_assert(countRoom >= 1 && countRoom <= maxCountBytes,
+                "a count varint takes 1 to 10 bytes");
+    static constexpr u8 zeros[maxCountBytes] = {};
+    w_.bytes(zeros, room_);
+    records_ = w_.size();
+}
+
+void
+TraceEncoder::add(const InstRecord &i)
+{
+    const bool hasMem = i.addr != 0 || i.rowBytes != 0 || i.stride != 0;
+    u8 flags = u8(static_cast<u8>(i.ew) << flagEwShift);
+    if (i.taken)
+        flags |= flagTaken;
+    if (hasMem)
+        flags |= flagHasMem;
+    if (i.vl != 0)
+        flags |= flagHasVl;
+    if (i.region != prevRegion_)
+        flags |= flagNewRegion;
+
+    w_.byte(static_cast<u8>(i.op));
+    w_.byte(flags);
+    w_.byte(packCls(i.dst.cls, i.src0.cls));
+    w_.byte(packCls(i.src1.cls, i.src2.cls));
+    for (const RegId *r : {&i.dst, &i.src0, &i.src1, &i.src2})
+        if (r->valid())
+            w_.byte(r->idx);
+    // Static ids advance by small steps inside a basic block and jump
+    // back at loop edges: signed deltas stay short either way.
+    w_.svarint(s64(i.staticId) - s64(prevStatic_));
+    prevStatic_ = i.staticId;
+    if (flags & flagNewRegion) {
+        w_.varint(i.region);
+        prevRegion_ = i.region;
+    }
+    if (hasMem) {
+        // Two's-complement delta: exact for any u64 pair, short for
+        // the common near-sequential access patterns.
+        w_.svarint(s64(i.addr - prevAddr_));
+        prevAddr_ = i.addr;
+        w_.varint(i.rowBytes);
+        // Unit-stride rows (stride == rowBytes) encode as zero.
+        w_.svarint(s64(i.stride) - s64(i.rowBytes));
+    }
+    if (i.vl != 0)
+        w_.varint(i.vl);
+    ++n_;
+}
+
+size_t
+TraceEncoder::finish()
+{
+    wire::Writer count;
+    count.varint(n_);
+    vmmx_assert(count.size() <= room_, "the count outgrew its room");
+    const size_t at = records_ - count.size();
+    w_.patch(at, count.buffer().data(), count.size());
+    return at;
+}
+
 void
 encodeTrace(const std::vector<InstRecord> &trace, wire::Writer &w)
 {
-    w.varint(trace.size());
-    Addr prevAddr = 0;
-    u32 prevStatic = 0;
-    u16 prevRegion = 0;
-    for (const InstRecord &i : trace) {
-        const bool hasMem = i.addr != 0 || i.rowBytes != 0 || i.stride != 0;
-        u8 flags = u8(static_cast<u8>(i.ew) << flagEwShift);
-        if (i.taken)
-            flags |= flagTaken;
-        if (hasMem)
-            flags |= flagHasMem;
-        if (i.vl != 0)
-            flags |= flagHasVl;
-        if (i.region != prevRegion)
-            flags |= flagNewRegion;
-
-        w.byte(static_cast<u8>(i.op));
-        w.byte(flags);
-        w.byte(packCls(i.dst.cls, i.src0.cls));
-        w.byte(packCls(i.src1.cls, i.src2.cls));
-        for (const RegId *r : {&i.dst, &i.src0, &i.src1, &i.src2})
-            if (r->valid())
-                w.byte(r->idx);
-        // Static ids advance by small steps inside a basic block and jump
-        // back at loop edges: signed deltas stay short either way.
-        w.svarint(s64(i.staticId) - s64(prevStatic));
-        prevStatic = i.staticId;
-        if (flags & flagNewRegion) {
-            w.varint(i.region);
-            prevRegion = i.region;
-        }
-        if (hasMem) {
-            // Two's-complement delta: exact for any u64 pair, short for
-            // the common near-sequential access patterns.
-            w.svarint(s64(i.addr - prevAddr));
-            prevAddr = i.addr;
-            w.varint(i.rowBytes);
-            // Unit-stride rows (stride == rowBytes) encode as zero.
-            w.svarint(s64(i.stride) - s64(i.rowBytes));
-        }
-        if (i.vl != 0)
-            w.varint(i.vl);
-    }
+    // The count's size is known, so the room fits it exactly and the
+    // payload directly follows what @p w held.
+    TraceEncoder records(w, wire::varintSize(trace.size()));
+    for (const InstRecord &i : trace)
+        records.add(i);
+    records.finish();
 }
 
 TraceCursor::TraceCursor(const wire::Reader &r) : r_(r)

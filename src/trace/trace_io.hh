@@ -13,6 +13,10 @@
  * on-disk TraceStore and the driver/worker wire protocol affordable for
  * application-scale (mpeg2enc) traces.
  *
+ * TraceEncoder is the codec's one encoder: encodeTrace() loops a vector
+ * through it, and a Program can emit into it record by record, so a
+ * generated trace can be encoded without ever being an InstRecord array.
+ *
  * This header is also the canonical home of SharedTrace (the immutable
  * trace handle shared by the cache, the store, and the sweep engines) and
  * TraceKey (the stable identity of a generated trace).
@@ -59,6 +63,46 @@ struct TraceKey
 
     /** e.g. "kernel:idct/vmmx128/16MiB/seed=beef". */
     std::string describe() const;
+};
+
+/**
+ * Streams records into an encodeTrace() payload at the end of a
+ * wire::Writer: the one per-record encoder behind every trace encode.
+ * The payload leads with its record count, which a streaming producer
+ * (a Program emitting into the encoder) knows only once the records are
+ * done.  So the encoder first leaves room for the count -- the longest
+ * varint unless the caller knows the count's size -- and finish() writes
+ * the count into the tail of that room, right before the first record.
+ * Nothing is moved: the payload starts where finish() says, after up to
+ * nine unused bytes of the room, and its bytes are encodeTrace()'s for
+ * the same records.  TraceStore::Image starts its file image there.
+ */
+class TraceEncoder
+{
+  public:
+    /** The longest count varint. */
+    static constexpr size_t maxCountBytes = 10;
+
+    /** Start a payload at the end of @p w, with @p countRoom bytes left
+     *  for its count. */
+    explicit TraceEncoder(wire::Writer &w,
+                          size_t countRoom = maxCountBytes);
+
+    /** Append one record. */
+    void add(const InstRecord &i);
+
+    /** Write the count before the first record.  @return the payload's
+     *  offset in the writer; it runs to the writer's end. */
+    size_t finish();
+
+  private:
+    wire::Writer &w_;
+    size_t records_; ///< offset of the first record (the room's end)
+    size_t room_;
+    u64 n_ = 0;
+    Addr prevAddr_ = 0;
+    u32 prevStatic_ = 0;
+    u16 prevRegion_ = 0;
 };
 
 /** Append @p trace to @p w (varint count + delta-encoded records). */

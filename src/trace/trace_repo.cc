@@ -163,30 +163,30 @@ TraceRepository::materializeRaw(Entry &e)
     return installRaw(e, generate(e));
 }
 
+std::vector<InstRecord>
+TraceRepository::runWorkload(const TraceKey &key, TraceEncoder *sink)
+{
+    TELEMETRY_SPAN("trace.generate",
+                   telemetry::enabled() ? key.name : std::string());
+    MemImage mem(key.imageBytes);
+    Rng rng(key.seed);
+    auto run = [&](auto workload) {
+        workload->prepare(mem, rng);
+        Program p = sink ? Program(mem, key.kind, *sink)
+                         : Program(mem, key.kind);
+        workload->emit(p);
+        return p.takeTrace();
+    };
+    return key.isApp ? run(makeApp(key.name)) : run(makeKernel(key.name));
+}
+
 SharedTrace
 TraceRepository::generate(Entry &e)
 {
     vmmx_assert(e.keyed, "only keyed entries can be generated");
-    std::vector<InstRecord> trace;
-    {
-        TELEMETRY_SPAN("trace.generate", telemetry::enabled()
-                                             ? e.key.name
-                                             : std::string());
-        MemImage mem(e.key.imageBytes);
-        Rng rng(e.key.seed);
-        auto run = [&](auto workload) {
-            workload->prepare(mem, rng);
-            Program p(mem, e.key.kind);
-            workload->emit(p);
-            return p.takeTrace();
-        };
-        trace = e.key.isApp ? run(makeApp(e.key.name))
-                            : run(makeKernel(e.key.name));
-    }
-
+    auto t = std::make_shared<const std::vector<InstRecord>>(
+        runWorkload(e.key));
     ++generations_;
-    auto t =
-        std::make_shared<const std::vector<InstRecord>>(std::move(trace));
     if (store_) {
         TELEMETRY_SPAN("trace.storeSave", telemetry::enabled()
                                               ? e.key.name
@@ -197,6 +197,39 @@ TraceRepository::generate(Entry &e)
         }
     }
     return t;
+}
+
+void
+TraceRepository::generateStored(Entry &e, Replay &r)
+{
+    vmmx_assert(e.keyed && store_, "only keyed entries can be generated");
+    TraceStore::Image image(e.key);
+    runWorkload(e.key, &image.encoder());
+    image.finish();
+    ++generations_;
+    bool saved;
+    {
+        TELEMETRY_SPAN("trace.storeSave", telemetry::enabled()
+                                              ? e.key.name
+                                              : std::string());
+        saved = store_->write(e.key, image.bytes());
+    }
+    if (saved) {
+        ++e.saves;
+        e.onDisk = true;
+    } else {
+        // Off disk, the trace stays in tier 1 as a generated vector
+        // would: later lookups decode it instead of generating again.
+        auto t = std::make_shared<std::vector<InstRecord>>();
+        wire::Reader payload = image.payload();
+        vmmx_assert(decodeTrace(payload, *t) && payload.atEnd(),
+                    "a generated image must decode");
+        installRaw(e, std::move(t));
+        touchRawAndEnforce(&e);
+    }
+    r.generated_ = true;
+    r.records_.emplace(image.payload());
+    r.bytes_ = image.take();
 }
 
 SharedTrace
@@ -248,15 +281,16 @@ TraceRepository::replay(const TraceKey &key)
         touchRawAndEnforce(&e);
     } else if (e.onDisk.load() && trusted() && openStored(r)) {
         return r;
+    } else if (store_) {
+        // Generated straight into the file image, saved, and replayed
+        // from that image as a warm unit replays the file; the image
+        // goes with the unit.
+        generateStored(e, r);
     } else {
-        // With the trace on disk the unit holds the only copy, so it
-        // goes with the unit; otherwise (no store, or the save failed)
-        // it stays in tier 1, as raw() keeps it.
+        // Without a store the trace stays in tier 1, as raw() keeps it.
         r.trace_ = generate(e);
-        if (!e.onDisk.load()) {
-            installRaw(e, r.trace_);
-            touchRawAndEnforce(&e);
-        }
+        installRaw(e, r.trace_);
+        touchRawAndEnforce(&e);
     }
     return r;
 }
@@ -285,16 +319,19 @@ TraceRepository::Replay::next()
         return {};
     size_t n = records_->read(block_.data(), block_.size());
     if (n < block_.size()) {
-        // The end, or a malformed record: reject the file unless a
-        // save replaced it since this replay opened it.
+        // The end, or a malformed record.
         ended_ = true;
-        ok_ = repo_->store_->finish(
-            entry_->key, records_->done() && records_->reader().atEnd());
-        if (ok_) {
-            ++repo_->diskLoads_;
-            entry_->onDisk = true;
-        } else {
-            entry_->rejected = saves_;
+        ok_ = records_->done() && records_->reader().atEnd();
+        if (!generated_) {
+            // A store file: reject it unless a save replaced it since
+            // this replay opened it.
+            ok_ = repo_->store_->finish(entry_->key, ok_);
+            if (ok_) {
+                ++repo_->diskLoads_;
+                entry_->onDisk = true;
+            } else {
+                entry_->rejected = saves_;
+            }
         }
     }
     return {block_.data(), ok_ ? n : 0};

@@ -16,11 +16,12 @@
  * at a time, and keeps nothing past the unit: a store file is checked
  * whole, then decoded block by block with no entry lock held; on a
  * store miss the trace is generated under the entry's mutex (so units
- * of one key generate it once) and saved, and the generated vector goes
- * with the unit once it is on disk -- without a store it stays in tier
- * 1.  raw() lookups (the runSerial oracle, benches) fill and keep tier
- * 1.  Explicitly supplied traces join tier 2 keyed by object identity,
- * so replaying one in many groups decodes it once.
+ * of one key generate it once) straight into the store's file image,
+ * which is saved and then decoded block by block as a warm file is, and
+ * goes with the unit.  Without a store (or when the save fails) the
+ * trace stays in tier 1.  raw() lookups (the runSerial oracle, benches)
+ * fill and keep tier 1.  Explicitly supplied traces join tier 2 keyed
+ * by object identity, so replaying one in many groups decodes it once.
  *
  * Tiers 1 and 2 share one LRU clock and one eviction pass: each tier
  * has its own byte budget (VMMX_TRACE_CACHE_BUDGET for raw,
@@ -88,6 +89,12 @@ class TraceRepository
     /** The shared per-process repository used by benches and the sweep
      *  engine.  Attaches a store iff $VMMX_TRACE_STORE is set. */
     static TraceRepository &instance();
+
+    /** What a generation does: run @p key's workload on a fresh memory
+     *  image, recording into @p sink if given.  @return the trace, or
+     *  an empty vector when the records went to @p sink. */
+    static std::vector<InstRecord> runWorkload(const TraceKey &key,
+                                               TraceEncoder *sink = nullptr);
 
     void setRawBudget(u64 bytes) { rawBudget_.store(bytes); }
     void setDecodedBudget(u64 bytes) { decodedBudget_.store(bytes); }
@@ -173,10 +180,10 @@ class TraceRepository
     TraceHandle raw(const TraceKey &key);
 
     /** One keyed trace as a sweep unit replays it: blocks of at most
-     *  replayBlock records decoded from the store file's bytes or from
-     *  the trace in RAM.  Drain next() to an empty block, then check
-     *  ok().  A move keeps the file bytes' buffer, so the cursor into
-     *  it stays valid. */
+     *  replayBlock records decoded from the store file's bytes, the
+     *  file image just generated, or the trace in RAM.  Drain next() to
+     *  an empty block, then check ok().  A move keeps the bytes'
+     *  buffer, so the cursor into it stays valid. */
     class Replay
     {
       public:
@@ -204,9 +211,11 @@ class TraceRepository
         TraceRepository *repo_ = nullptr;
         std::shared_ptr<Entry> entry_;
         u64 saves_ = 0;                     ///< entry's saves when opened
-        std::vector<u8> bytes_;             ///< warm: the store file
-        std::optional<TraceCursor> records_; ///< warm: its records
-        SharedTrace trace_;                 ///< otherwise: the trace
+        /** The store file (warm) or the generated file image (cold). */
+        std::vector<u8> bytes_;
+        std::optional<TraceCursor> records_; ///< its records
+        bool generated_ = false; ///< bytes_ is a fresh image, not a load
+        SharedTrace trace_; ///< no store file or image: the trace
         size_t pos_ = 0;
         std::vector<DecodedInst> block_ =
             std::vector<DecodedInst>(replayBlock);
@@ -257,8 +266,11 @@ class TraceRepository
     // Fill helpers; all run with @p e's build mutex held.
     /** Fill tier 1 of @p e (store, else generate). */
     SharedTrace materializeRaw(Entry &e);
-    /** Generate @p e's trace and save it to the store. */
+    /** Generate @p e's trace and save it to the store, if any. */
     SharedTrace generate(Entry &e);
+    /** Generate @p e's trace straight into a store file image, save it,
+     *  and point @p r at the image's records. */
+    void generateStored(Entry &e, Replay &r);
     /** Open @p r's store file to stream; false on a miss. */
     bool openStored(Replay &r);
     /** A token holding one pin on @p e's @p count until destroyed. */

@@ -130,22 +130,65 @@ TraceStore::load(const TraceKey &key)
     return trace;
 }
 
-bool
-TraceStore::save(const TraceKey &key, const std::vector<InstRecord> &trace)
+namespace
+{
+
+/** The file header: magic, version, key. */
+wire::Writer
+header(const TraceKey &key)
 {
     wire::Writer w;
     w.fixed32(storeMagic);
     w.fixed32(storeVersion);
     serialize(w, key);
-    encodeTrace(trace, w);
-    w.fixed64(wire::fnv1a(w.buffer().data(), w.size()));
+    return w;
+}
+
+} // namespace
+
+// The buffer starts as a copy of the header: room that finish() moves
+// the header to the end of, next to the count.
+TraceStore::Image::Image(const TraceKey &key)
+    : header_(header(key)), w_(header_), records_(w_)
+{
+}
+
+void
+TraceStore::Image::finish()
+{
+    payload_ = records_.finish();
+    begin_ = payload_ - header_.size();
+    w_.patch(begin_, header_.buffer().data(), header_.size());
+}
+
+std::span<const u8>
+TraceStore::Image::bytes() const
+{
+    return {w_.buffer().data() + begin_, w_.size() - begin_};
+}
+
+wire::Reader
+TraceStore::Image::payload() const
+{
+    return {w_.buffer().data() + payload_, w_.size() - payload_};
+}
+
+bool
+TraceStore::write(const TraceKey &key, std::span<const u8> image)
+{
+    // The checksum covers the whole image and trails it.
+    wire::Writer sum;
+    sum.fixed64(wire::fnv1a(image.data(), image.size()));
 
     const std::string file = path(key);
     const std::string tmp = file + ".tmp." + std::to_string(::getpid());
     {
         std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-        if (!out || !out.write(asChars(w.buffer().data()),
-                               std::streamsize(w.size()))) {
+        if (!out ||
+            !out.write(asChars(image.data()), std::streamsize(image.size())) ||
+            !out.write(asChars(sum.buffer().data()),
+                       std::streamsize(sum.size())) ||
+            !out.flush()) {
             warn("trace store: cannot write '%s'", tmp.c_str());
             std::remove(tmp.c_str());
             return false;
@@ -161,6 +204,14 @@ TraceStore::save(const TraceKey &key, const std::vector<InstRecord> &trace)
     }
     ++saves_;
     return true;
+}
+
+bool
+TraceStore::save(const TraceKey &key, const std::vector<InstRecord> &trace)
+{
+    wire::Writer w = header(key);
+    encodeTrace(trace, w);
+    return write(key, w.buffer());
 }
 
 bool

@@ -15,8 +15,14 @@
  * Any validation failure (bad magic/version, key mismatch, checksum
  * mismatch, truncation, a malformed record) reads as a miss, never an
  * error.  open() checks a file as a whole and leaves its records
- * encoded for a reader to decode block by block (TraceRepository::
- * Replay) and report to finish(); load() wraps the same two steps.
+ * encoded for a reader to decode block by block (a TraceCursor in
+ * TraceRepository::Replay) and report to finish(); load() wraps the same
+ * two steps.
+ *
+ * Building a file image is apart from writing it: an Image takes its
+ * records one at a time through a TraceEncoder (a Program can generate
+ * straight into it), and write() checksums a finished image and
+ * publishes it atomically.  save() is the two for a trace in RAM.
  * File names hash traceGenVersion too, so a build whose generators
  * differ reads none of another build's files.
  */
@@ -26,6 +32,7 @@
 
 #include <atomic>
 #include <optional>
+#include <span>
 #include <string>
 
 #include "trace/trace_io.hh"
@@ -68,6 +75,50 @@ class TraceStore
 
     /** @return the stored trace, or null on miss/corruption. */
     SharedTrace load(const TraceKey &key);
+
+    /**
+     * A store file image being built for one key: magic, version, key,
+     * then the records' payload (varint count, delta-encoded records).
+     * The records stream into encoder(); finish() writes the count and
+     * the header in front of them, so each record is encoded once, in
+     * the buffer that is written and can then be replayed from.  The
+     * checksum is not part of the image: write() appends it.
+     */
+    class Image
+    {
+      public:
+        explicit Image(const TraceKey &key);
+        Image(const Image &) = delete;
+        Image &operator=(const Image &) = delete;
+
+        /** Where the records go, before finish(). */
+        TraceEncoder &encoder() { return records_; }
+
+        /** Write the count and the header in front of the records. */
+        void finish();
+
+        /** The finished image, checksum excluded. */
+        std::span<const u8> bytes() const;
+        /** A reader over the finished image's payload (a TraceCursor
+         *  input), which runs to the image's end. */
+        wire::Reader payload() const;
+
+        /** Move the buffer out.  A vector move keeps its storage, so
+         *  spans and readers taken from bytes() and payload() before
+         *  stay valid while the returned vector lives. */
+        std::vector<u8> take() { return w_.take(); }
+
+      private:
+        wire::Writer header_;
+        wire::Writer w_;
+        TraceEncoder records_;
+        size_t begin_ = 0;   ///< the image's offset in w_
+        size_t payload_ = 0; ///< the payload's offset in w_
+    };
+
+    /** Persist a finished @p image (an Image's bytes()) for @p key
+     *  atomically, with its checksum.  @return false on I/O failure. */
+    bool write(const TraceKey &key, std::span<const u8> image);
 
     /** Persist @p trace atomically. @return false on I/O failure. */
     bool save(const TraceKey &key, const std::vector<InstRecord> &trace);

@@ -12,6 +12,7 @@
 #include "kernels/kernel.hh"
 #include "common/rng.hh"
 #include "common/saturate.hh"
+#include "trace/decoded.hh"
 #include "trace/mmx.hh"
 #include "trace/program.hh"
 #include "trace/trace_repo.hh"
@@ -275,6 +276,18 @@ TEST(Determinism, SameSeedSameTraceSameCycles)
     EXPECT_EQ(runTrace(m, t1).cycles(), runTrace(m, t2).cycles());
 }
 
+/** @p key generated as a cold store unit does it, straight into an
+ *  encoder sink: @return the records' payload. */
+std::vector<u8>
+sinkPayload(const TraceKey &key)
+{
+    wire::Writer w;
+    TraceEncoder sink(w);
+    EXPECT_TRUE(TraceRepository::runWorkload(key, &sink).empty());
+    const size_t at = sink.finish();
+    return {w.buffer().begin() + at, w.buffer().end()};
+}
+
 // The trace generators' output at the default seed, pinned: store file
 // names carry TraceStore::traceGenVersion instead of anything that
 // identifies the build, so a change that alters a generated trace must
@@ -310,6 +323,51 @@ TEST(TraceGenVersion, DefaultSeedTracesArePinned)
             << ".  The generated trace changed: bump "
                "TraceStore::traceGenVersion (src/trace/trace_store.hh) so "
                "existing trace stores miss, then update this pin.";
+
+        // A cold store generation encodes as it emits: same bytes.
+        const TraceKey key{pin.isApp, pin.name, pin.kind,
+                           pin.isApp ? TraceRepository::appImageBytes
+                                     : TraceRepository::kernelImageBytes,
+                           TraceRepository::defaultSeed};
+        std::vector<u8> payload = sinkPayload(key);
+        EXPECT_EQ(wire::fnv1a(payload.data(), payload.size()), pin.digest)
+            << pin.name << "/" << name(pin.kind)
+            << ": the encoder sink's payload";
+    }
+}
+
+TEST(TraceEncoderSink, Fig5AppsEncodeAsTheirVectors)
+{
+    // Every trace a fig5 run generates: the payload a Program streams
+    // into the encoder equals encodeTrace() of the recorded vector, and
+    // a TraceCursor reads the records back.
+    for (const char *app : {"jpegenc", "jpegdec", "mpeg2enc", "mpeg2dec",
+                            "gsmenc", "gsmdec"}) {
+        for (SimdKind kind : {SimdKind::MMX64, SimdKind::MMX128,
+                              SimdKind::VMMX64, SimdKind::VMMX128}) {
+            const TraceKey key{true, app, kind,
+                               TraceRepository::appImageBytes,
+                               TraceRepository::defaultSeed};
+            const std::vector<InstRecord> trace =
+                TraceRepository::runWorkload(key);
+            wire::Writer w;
+            encodeTrace(trace, w);
+            const std::vector<u8> payload = sinkPayload(key);
+            ASSERT_TRUE(payload == w.buffer()) << key.describe();
+
+            wire::Reader in(payload);
+            TraceCursor records(in);
+            ASSERT_EQ(records.size(), trace.size()) << key.describe();
+            std::vector<DecodedInst> block(replayBlock);
+            size_t k = 0;
+            for (size_t n; (n = records.read(block.data(), block.size()));)
+                for (size_t j = 0; j < n; ++j, ++k)
+                    ASSERT_TRUE(block[j] == decodeInst(trace[k]))
+                        << key.describe() << " record " << k;
+            EXPECT_EQ(k, trace.size()) << key.describe();
+            EXPECT_TRUE(records.done() && records.reader().atEnd())
+                << key.describe();
+        }
     }
 }
 

@@ -1,8 +1,9 @@
 /**
  * @file
  * TraceRepository tests: a unit's replay streams a warm store file in
- * decoded blocks without any RAM copy, drops a cold generation once it
- * is on disk, and keeps it in tier 1 without a store; hostile store
+ * decoded blocks without any RAM copy, streams a cold generation from
+ * the file image it saved, and keeps it in tier 1 without a store or
+ * when the save fails; hostile store
  * bytes -- even past whole blocks already stepped -- read as a miss and
  * regenerate; the decoded tier amortizes an explicit trace's decode;
  * pins protect borrowed traces and decoded streams against eviction,
@@ -16,6 +17,7 @@
 
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <map>
 #include <random>
 #include <unistd.h>
@@ -158,6 +160,10 @@ TEST_F(TraceRepoTest, ColdStoreReplayDropsGeneratedCopy)
     EXPECT_EQ(repo.generations(), 1u);
     EXPECT_EQ(store.saves(), 1u);
     EXPECT_EQ(repo.rawStats().bytes, 0u) << "generated copy joined tier 1";
+    EXPECT_EQ(repo.rawStats().fills, 0u);
+    // It replayed the image it saved, not a reload of the file.
+    EXPECT_EQ(store.loads(), 0u);
+    EXPECT_EQ(repo.diskLoads(), 0u);
 
     // The next replay streams the saved file: same records, no
     // regeneration.
@@ -189,6 +195,56 @@ TEST_F(TraceRepoTest, ReplayWithoutStoreKeepsTheTraceInTier1)
     EXPECT_EQ(repo.generations(), 1u);
     EXPECT_EQ(repo.rawStats().hits, 2u);
     EXPECT_EQ(repo.decodedStats().bytes, 0u);
+}
+
+// A cold unit whose save fails -- the store directory gave way to a
+// regular file after the store was opened -- still steps the trace it
+// generated into the file image, bit-identical to the oracle.  The
+// trace is not on disk, so it stays in tier 1 (decoded from the image),
+// and a second replay of the key misses the store again and then
+// decodes that resident copy: a tier-1 hit, no second generation.
+TEST_F(TraceRepoTest, ColdReplayWhoseSaveFailsKeepsTheTraceInTier1)
+{
+    TraceStore store(storeDir());
+    fs::remove_all(storeDir());
+    std::ofstream(storeDir()) << "not a directory";
+
+    std::vector<SweepPoint> points;
+    for (unsigned way : {2u, 4u, 8u})
+        points.push_back({SweepPoint::Workload::Kernel, key(0).name,
+                          key(0).kind, way});
+    TraceRepository repo(&store, 0, 0);
+    ExecutionPolicy policy = ExecutionPolicy::fromEnv();
+    policy.repo = &repo;
+    policy.threads = 1;
+    TraceRepository oracleRepo(nullptr, 0, 0);
+    ExecutionPolicy oracle = policy;
+    oracle.repo = &oracleRepo;
+    auto want = runSerial(points, oracle);
+    auto got = runPoints(points, policy);
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < want.size(); ++i)
+        EXPECT_TRUE(got[i].sameRun(want[i])) << "point " << i;
+
+    const size_t records = oracleRepo.raw(key(0))->size();
+    EXPECT_EQ(repo.generations(), 1u);
+    EXPECT_EQ(store.saves(), 0u);
+    EXPECT_EQ(store.misses(), 1u); // the unit's store lookup
+    EXPECT_EQ(repo.diskLoads(), 0u);
+    EXPECT_FALSE(store.contains(key(0)));
+    EXPECT_EQ(repo.rawStats().fills, 1u);
+    EXPECT_EQ(repo.rawStats().bytes, records * sizeof(InstRecord));
+
+    TraceRepository::Replay again = repo.replay(key(0));
+    EXPECT_EQ(again.records(), records);
+    EXPECT_TRUE(drain(again) ==
+                decodeStream(*oracleRepo.raw(key(0))).insts);
+    EXPECT_TRUE(again.ok());
+    EXPECT_EQ(repo.generations(), 1u);
+    EXPECT_EQ(repo.rawStats().hits, 1u);
+    EXPECT_EQ(store.saves(), 0u);
+    EXPECT_EQ(store.misses(), 2u);
+    EXPECT_EQ(repo.diskLoads(), 0u);
 }
 
 TEST_F(TraceRepoTest, PinnedRawSurvivesReplay)

@@ -286,6 +286,75 @@ TEST_F(WireTest, TraceCursorBlocksMatchPerRecordDecode)
     }
 }
 
+/** @p n records for the encoder tests: four hand-picked edge records
+ *  (a u64-wrapping address delta each way, negative and INT32_MIN
+ *  strides, region changes, vl set and clear) repeating, with random
+ *  records between. */
+std::vector<InstRecord>
+edgeStream(size_t n, Rng &rng)
+{
+    std::vector<InstRecord> edges(4);
+    edges[0].addr = ~0ull - 7;
+    edges[0].rowBytes = 8;
+    edges[0].stride = -64;
+    edges[0].region = 1;
+    edges[0].vl = 16;
+    edges[1].addr = 24; // wraps forward past 2^64
+    edges[1].rowBytes = 16;
+    edges[1].stride = s32(0x80000000);
+    edges[1].region = 0;
+    edges[2].addr = ~0ull; // wraps back
+    edges[2].rowBytes = 1;
+    edges[2].stride = 1;
+    edges[2].region = 0xffff;
+    edges[2].vl = 0xffff;
+    edges[3].op = Opcode::BR;
+    edges[3].taken = true;
+    edges[3].staticId = ~0u;
+    std::vector<InstRecord> trace;
+    for (size_t k = 0; k < n; ++k)
+        trace.push_back(k % 8 < 4 ? edges[k % 8] : randomRecord(rng));
+    return trace;
+}
+
+TEST_F(WireTest, TraceEncoderSinkMatchesEncodeTrace)
+{
+    Rng rng(0x51c);
+    // The count is written last: these sizes sit on its varint-length
+    // edges (1, 2 and 3 bytes).
+    for (size_t n : {0, 1, 127, 128, 16383, 16384}) {
+        const std::vector<InstRecord> trace = edgeStream(n, rng);
+        wire::Writer whole;
+        encodeTrace(trace, whole);
+
+        // A streaming producer: the count is unknown until the end, and
+        // whatever the writer held before stays untouched.
+        wire::Writer w;
+        w.byte(0xa5);
+        TraceEncoder sink(w);
+        for (const InstRecord &i : trace)
+            sink.add(i);
+        const size_t at = sink.finish();
+        EXPECT_EQ(w.buffer()[0], 0xa5);
+        EXPECT_EQ(at, 1 + TraceEncoder::maxCountBytes - wire::varintSize(n));
+        const std::vector<u8> payload(w.buffer().begin() + at,
+                                      w.buffer().end());
+        ASSERT_TRUE(payload == whole.buffer()) << n << " records";
+
+        wire::Reader in(payload);
+        TraceCursor records(in);
+        ASSERT_EQ(records.size(), n);
+        std::vector<DecodedInst> block(replayBlock);
+        size_t k = 0;
+        for (size_t got; (got = records.read(block.data(), block.size()));)
+            for (size_t j = 0; j < got; ++j, ++k)
+                ASSERT_TRUE(block[j] == decodeInst(trace[k]))
+                    << n << " records, record " << k;
+        EXPECT_EQ(k, n);
+        EXPECT_TRUE(records.done() && records.reader().atEnd()) << n;
+    }
+}
+
 TEST_F(WireTest, CorruptTraceStreamsFailCleanly)
 {
     Rng rng(7);
